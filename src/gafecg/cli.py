@@ -167,12 +167,17 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
                     "noise_variant": noise_variant,
                     "path": name,
                     "n_samples": len(samples),
+                    "sampling_rate": record.sampling_rate,
                 }
             )
         report.append(f"{record_id}\t{len(record.samples)} samples")
     with open(signals_csv, "w", newline="") as fh:
         writer = csv.DictWriter(
-            fh, fieldnames=["record_id", "label", "noise_variant", "path", "n_samples"]
+            fh,
+            fieldnames=[
+                "record_id", "label", "noise_variant", "path", "n_samples",
+                "sampling_rate",
+            ],
         )
         writer.writeheader()
         writer.writerows(rows)
@@ -193,6 +198,8 @@ def stage_segment(cfg: PipelineConfig) -> None:
     pre_dir = signals_csv.parent
     with open(signals_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    if rows and "sampling_rate" not in rows[0]:
+        raise PipelineError(f"{signals_csv} has no sampling_rate; re-run preprocess")
     out.mkdir(parents=True, exist_ok=True)
     report = ["record_id\tnoise\tbeats\tskipped_bounds\tskipped_degenerate"]
     totals: dict[str, dict[str, int]] = {
@@ -210,7 +217,7 @@ def stage_segment(cfg: PipelineConfig) -> None:
                 label=Label(row["label"]),
                 lead_name=LEAD,
                 samples=samples,
-                sampling_rate=1000.0,
+                sampling_rate=float(row["sampling_rate"]),
             )
             peaks = pan_tompkins(record)
             seg = segment_beats(record, peaks)

@@ -3,8 +3,16 @@
 The production network takes a 128x128 grayscale image through four
 conv/max-pool blocks (16, 32, 64, 128 channels), a 100-unit ReLU layer and
 a 2-unit sigmoid head. Forward and backward passes are written out
-explicitly (im2col convolutions, argmax-routed pooling), optimized with
-Adam on a mean per-unit binary cross-entropy.
+explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
+
+- Convolutions are im2col GEMMs. The backward pass accumulates one GEMM per
+  kernel offset into the padded input gradient. A conv layer holding the
+  first parameters computes no input gradient: no parameter below uses it.
+- Max pooling takes the elementwise maximum of the size**2 strided slices
+  of its non-overlapping windows. With caches kept it also records the
+  first slice, in row-major window order, that holds the maximum, so the
+  gradient of a tie goes to the first tied cell, as with ``np.argmax``.
+- ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 
 A reduced configuration (`reduced_layers`) keeps every layer type but
 shrinks the image and channel counts so finite-difference gradient checks
@@ -41,7 +49,7 @@ class Conv:
 
 @dataclass(frozen=True)
 class Pool:
-    """Max pooling; odd trailing rows/columns are dropped."""
+    """Max pooling, stride == size; odd trailing rows/columns are dropped."""
 
     size: int = 2
     stride: int = 2
@@ -112,13 +120,14 @@ def _plan(layers: tuple[LayerSpec, ...], input_shape: tuple[int, int]) -> list[t
         elif isinstance(layer, Pool):
             if len(shape) != 3:
                 raise ShapeError(f"pool layer after flatten: input shape {shape}")
+            if not 1 <= layer.size <= 16 or layer.stride != layer.size:
+                raise ShapeError(f"pool needs stride == size in 1..16, got {layer}")
             h, w, c = shape
-            oh, ow = h // layer.stride, w // layer.stride
+            oh, ow = h // layer.size, w // layer.size
             if oh < 1 or ow < 1:
                 raise ShapeError(f"pool too large for {shape}")
             out = (oh, ow, c)
         elif isinstance(layer, Dense):
-            fan_in = int(np.prod(shape))
             out = (layer.units,)
         else:
             raise ShapeError(f"unknown layer type {type(layer).__name__}")
@@ -226,15 +235,18 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple, kernel: int) -> np.ndarray:
-    # dcols: (B, Ho, Wo, k, k, C) scattered back onto (B, H, W, C)
-    b, h, w, c = x_shape
-    ho, wo = dcols.shape[1], dcols.shape[2]
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            dx[:, i : i + ho, j : j + wo, :] += dcols[:, :, :, i, j, :]
-    return dx
+def _relu(z: np.ndarray) -> np.ndarray:
+    # In place. Adding +0 turns the -0 that fmax may keep for a -0 input
+    # into +0, so the bytes equal np.where(z > 0, z, 0).
+    np.fmax(z, 0, out=z)
+    z += 0
+    return z
+
+
+def _pool_cells(a: np.ndarray, size: int) -> list[np.ndarray]:
+    # The size**2 cells of every window as strided views, row-major order.
+    hc, wc = a.shape[1] - a.shape[1] % size, a.shape[2] - a.shape[2] % size
+    return [a[:, i:hc:size, j:wc:size, :] for i in range(size) for j in range(size)]
 
 
 def _pad_same(x: np.ndarray, kernel: int) -> tuple[np.ndarray, tuple[int, int]]:
@@ -280,26 +292,23 @@ def forward(
             bsz, ho, wo = cols.shape[:3]
             flat = cols.reshape(bsz * ho * wo, -1)
             z = flat @ weight.reshape(-1, weight.shape[-1]) + bias
-            z = z.reshape(bsz, ho, wo, weight.shape[-1])
-            mask = z > 0
-            a = np.where(mask, z, np.asarray(0.0, dtype=z.dtype))
+            a = _relu(z.reshape(bsz, ho, wo, weight.shape[-1]))
             if with_caches:
-                caches.append(("conv", layer, flat, xp.shape, pad, mask))
+                caches.append(("conv", layer, flat, xp.shape, pad, a > 0))
         elif isinstance(layer, Pool):
-            bsz, h, w, c = a.shape
-            hc, wc = h - h % layer.size, w - w % layer.size
-            cropped = a[:, :hc, :wc, :]
-            ho, wo = hc // layer.size, wc // layer.size
-            windows = (
-                cropped.reshape(bsz, ho, layer.size, wo, layer.size, c)
-                .transpose(0, 1, 3, 2, 4, 5)
-                .reshape(bsz, ho, wo, layer.size * layer.size, c)
-            )
-            arg = np.argmax(windows, axis=3)
-            pooled = np.take_along_axis(windows, arg[:, :, :, None, :], axis=3)
-            a = pooled[:, :, :, 0, :]
+            cells = _pool_cells(a, layer.size)
+            pooled = cells[0].copy()
+            for cell in cells[1:]:
+                np.maximum(pooled, cell, out=pooled)
             if with_caches:
-                caches.append(("pool", layer, arg, (bsz, h, w, c)))
+                # arg counts the cells before the first one holding the max.
+                arg = np.zeros(pooled.shape, dtype=np.uint8)
+                before = np.ones(pooled.shape, dtype=bool)
+                for cell in cells[:-1]:
+                    before &= cell != pooled
+                    arg += before
+                caches.append(("pool", layer, arg, a.shape))
+            a = pooled
         elif isinstance(layer, Dense):
             if a.ndim == 4:
                 spatial = a.shape
@@ -310,10 +319,9 @@ def forward(
             p += 2
             z = a @ weight + bias
             if layer.activation == "relu":
-                mask = z > 0
-                out = np.where(mask, z, np.asarray(0.0, dtype=z.dtype))
+                out = _relu(z)
                 if with_caches:
-                    caches.append(("dense", layer, a, mask))
+                    caches.append(("dense", layer, a, out > 0))
             else:
                 out = _sigmoid(z)
                 if with_caches:
@@ -391,22 +399,13 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             delta = delta.reshape(spatial)
         elif kind == "pool":
             arg, in_shape = rest
-            bsz, h, w, c = in_shape
-            size = layer.size
-            hc, wc = h - h % size, w - w % size
-            ho, wo = hc // size, wc // size
-            windows = np.zeros((bsz, ho, wo, size * size, c), dtype=delta.dtype)
-            np.put_along_axis(
-                windows, arg[:, :, :, None, :], delta[:, :, :, None, :], axis=3
-            )
-            dcrop = (
-                windows.reshape(bsz, ho, wo, size, size, c)
-                .transpose(0, 1, 3, 2, 4, 5)
-                .reshape(bsz, hc, wc, c)
-            )
-            dx = np.zeros(in_shape, dtype=delta.dtype)
-            dx[:, :hc, :wc, :] = dcrop
-            delta = dx
+            # Route on the integer view of delta: a product with 0 or 1 is
+            # exact there, and a cell that did not win gets +0, never -0.
+            bits = delta.view(f"i{delta.itemsize}")
+            dx = np.zeros(in_shape, dtype=bits.dtype)
+            for k, cell in enumerate(_pool_cells(dx, layer.size)):
+                np.multiply(bits, arg == k, out=cell)
+            delta = dx.view(delta.dtype)
         elif kind == "conv":
             flat, xp_shape, pad, mask = rest
             p -= 2
@@ -416,10 +415,12 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             dflat = delta.reshape(bsz * ho * wo, cout)
             grads[p] = (flat.T @ dflat).reshape(weight.shape).astype(model.dtype)
             grads[p + 1] = dflat.sum(axis=0).astype(model.dtype)
-            dcols = (dflat @ weight.reshape(-1, cout).T).reshape(
-                bsz, ho, wo, layer.kernel, layer.kernel, xp_shape[3]
-            )
-            dxp = _col2im(dcols, xp_shape, layer.kernel)
+            if p == 0:
+                break  # the input gradient of the first layer feeds nothing
+            dxp = np.zeros(xp_shape, dtype=delta.dtype)
+            for i, j in np.ndindex(weight.shape[:2]):
+                dx_ij = (dflat @ weight[i, j].T).reshape(bsz, ho, wo, -1)
+                dxp[:, i : i + ho, j : j + wo, :] += dx_ij
             top, bottom = pad
             if top or bottom:
                 delta = dxp[:, top : xp_shape[1] - bottom, top : xp_shape[2] - bottom, :]
@@ -429,9 +430,7 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             raise ShapeError(f"unknown cache entry {kind!r}")
     if p != 0:
         raise ShapeError("cache/parameter mismatch in backward pass")
-    # activation order in the relu branch above relies on delta being dL/da;
-    # for the sigmoid head the loss gradient is already at pre-activation.
-    return [g for g in grads]  # type: ignore[misc]
+    return grads  # type: ignore[return-value]
 
 
 def adam_step(model: CnnModel, grads: list[np.ndarray], lr: float = 0.001) -> CnnModel:

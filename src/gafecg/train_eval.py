@@ -185,7 +185,8 @@ def make_folds(
     """Assign every item to exactly one of ``k`` folds.
 
     "beat" shuffles items and deals them round-robin. "patient" deals whole
-    records, so no record contributes to more than one fold.
+    subjects (the part of the record id before "/"), so no subject
+    contributes to more than one fold.
     """
     n = len(variant.items)
     if k < 2:
@@ -198,15 +199,16 @@ def make_folds(
         order = rng.permutation(n)
         assignments[order] = np.arange(n) % k
     elif split == "patient":
-        records = sorted({it.record_id for it in variant.items})
-        if k > len(records):
-            raise InvalidFoldCount(f"{k} folds for {len(records)} records")
-        order = rng.permutation(len(records))
-        fold_of_record = {
-            records[r]: int(pos % k) for pos, r in enumerate(order)
-        }
-        for i, it in enumerate(variant.items):
-            assignments[i] = fold_of_record[it.record_id]
+        subject_of = [it.record_id.split("/")[0] for it in variant.items]
+        subjects = sorted(set(subject_of))
+        if k > len(subjects):
+            n_records = len({it.record_id for it in variant.items})
+            raise InvalidFoldCount(
+                f"{k} folds for {len(subjects)} subjects ({n_records} records)"
+            )
+        order = rng.permutation(len(subjects))
+        fold_of = {subjects[r]: int(pos % k) for pos, r in enumerate(order)}
+        assignments[:] = [fold_of[subject] for subject in subject_of]
     else:
         raise InvalidFoldCount(f"unknown split mode {split!r}")
     return FoldPlan(k=k, assignments=assignments, split=split, seed=seed)

@@ -237,6 +237,36 @@ class TestRecordFilters:
         assert "patient003/s0003\tnon-inferior infarction excluded" in skipped
 
 
+class TestSamplingRate:
+    def test_segment_rejects_rate_the_detector_is_not_calibrated_for(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "corpus"
+        for i, reason in enumerate(("Healthy control", "Myocardial infarction")):
+            ecg = synth_ecg(20.0, bpm=70, sampling_rate=500.0, seed=i)
+            write_record(
+                root / f"patient00{i}", "s0001", ecg.samples, sampling_rate=500.0,
+                comments=[f"Reason for admission: {reason}"],
+            )
+        out = tmp_path / "out"
+        base = ["--dataset-root", str(root), "--out", str(out)]
+        assert main(["ingest", *base]) == 0
+        assert main(["preprocess", *base]) == 0
+        rows = _read_csv(out / "preprocess" / "signals.csv")
+        assert [r["sampling_rate"] for r in rows] == ["500.0"] * 4
+        capsys.readouterr()
+        assert main(["segment", *base]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: detector calibrated for 1000 Hz, got 500 Hz\n"
+        assert not (out / "segment" / "beats_clean.csv").exists()
+        # A signals.csv written before the rate was recorded is refused.
+        signals = out / "preprocess" / "signals.csv"
+        lines = signals.read_text().splitlines()
+        signals.write_text("".join(f"{line.rsplit(',', 1)[0]}\n" for line in lines))
+        assert main(["segment", *base]) == 1
+        assert "has no sampling_rate; re-run preprocess" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_help(self):
         proc = subprocess.run(

@@ -1,7 +1,10 @@
 """Convolutional network tests: shapes, gradients, optimizer, checkpoints."""
+import copy
+
 import numpy as np
 import pytest
 
+from gafecg import cnn
 from gafecg.cnn import (
     CHECKPOINT_MAGIC,
     LOSS_EPS,
@@ -61,6 +64,14 @@ class TestArchitecture:
             layer_output_shapes((Conv(4, 3, "valid"),), (2, 2))
         with pytest.raises(ShapeError):
             layer_output_shapes((Dense(4, "relu"), Conv(4, 3, "same")), (8, 8))
+
+    @pytest.mark.parametrize(
+        "pool", [Pool(2, 1), Pool(3, 2), Pool(0, 0), Pool(17, 17)]
+    )
+    def test_pool_needs_non_overlapping_windows(self, pool):
+        layers = (Conv(2, 3, "same"), pool, Dense(2, "sigmoid"))
+        with pytest.raises(ShapeError, match="stride == size"):
+            model_init(seed=0, layers=layers, input_shape=(16, 16))
 
 
 class TestInit:
@@ -169,6 +180,155 @@ class TestPoolingTies:
 
     def test_unique_maximum_found(self):
         assert self._pool_cache([[1.0, 2.0], [9.0, 3.0]]) == 2
+
+
+def _reference_forward(model, images):
+    """Forward pass with mask ReLU and argmax pooling, as before the
+    strided-slice kernels; returns probabilities and backward caches."""
+    x = np.asarray(images)
+    x = x[None] if x.ndim == 2 else x
+    if x.dtype == np.uint8:
+        x = x.astype(model.dtype) / np.asarray(255.0, dtype=model.dtype)
+    a, caches, p = x.astype(model.dtype)[..., None], [], 0
+    zero = np.asarray(0.0, dtype=model.dtype)
+    for layer in model.layers:
+        if isinstance(layer, Pool):
+            s, (bsz, h, w, c) = layer.size, a.shape
+            ho, wo = h // s, w // s
+            windows = (
+                a[:, : ho * s, : wo * s].reshape(bsz, ho, s, wo, s, c)
+                .transpose(0, 1, 3, 2, 4, 5).reshape(bsz, ho, wo, s * s, c)
+            )
+            arg = np.argmax(windows, axis=3)[:, :, :, None]
+            caches.append((layer, arg, a.shape))
+            a = np.take_along_axis(windows, arg, axis=3)[:, :, :, 0]
+            continue
+        weight, bias = model.params[p], model.params[p + 1]
+        p += 2
+        if isinstance(layer, Conv):
+            xp, pad = (a, (0, 0))
+            if layer.padding == "same":
+                xp, pad = cnn._pad_same(a, layer.kernel)
+            cols = cnn._im2col(xp, layer.kernel)
+            flat = cols.reshape(-1, cols[0, 0, 0].size)
+            z = flat @ weight.reshape(-1, weight.shape[-1]) + bias
+            z = z.reshape(*cols.shape[:3], -1)
+            caches.append((layer, flat, xp.shape, pad, z > 0))
+            a = np.where(z > 0, z, zero)
+        elif layer.activation == "relu":
+            spatial, a = a.shape, a.reshape(len(a), -1)
+            z = a @ weight + bias
+            caches.append((layer, a, spatial, z > 0))
+            a = np.where(z > 0, z, zero)
+        else:
+            spatial, a = a.shape, a.reshape(len(a), -1)
+            caches.append((layer, a, spatial, None))
+            a = cnn._sigmoid(a @ weight + bias)
+    return a, caches
+
+
+def _reference_backward(model, caches, probs, labels):
+    """Backward pass with put_along_axis pooling and the 6-D col2im scatter."""
+    grads = [None] * len(model.params)
+    delta = cnn._loss_grad_z(probs, labels).astype(model.dtype)
+    p = len(model.params)
+    for layer, *rest in reversed(caches):
+        if isinstance(layer, Pool):
+            arg, in_shape = rest
+            s, (bsz, h, w, c) = layer.size, in_shape
+            ho, wo = delta.shape[1:3]
+            windows = np.zeros((bsz, ho, wo, s * s, c), dtype=delta.dtype)
+            np.put_along_axis(windows, arg, delta[:, :, :, None], axis=3)
+            delta = np.zeros(in_shape, dtype=delta.dtype)
+            delta[:, : ho * s, : wo * s] = (
+                windows.reshape(bsz, ho, wo, s, s, c)
+                .transpose(0, 1, 3, 2, 4, 5).reshape(bsz, ho * s, wo * s, c)
+            )
+            continue
+        p -= 2
+        weight = model.params[p]
+        if isinstance(layer, Dense):
+            a_in, spatial, mask = rest
+            delta = delta * mask if mask is not None else delta
+            grads[p], grads[p + 1] = a_in.T @ delta, delta.sum(axis=0)
+            delta = (delta @ weight.T).reshape(spatial)
+            continue
+        flat, xp_shape, (top, bottom), mask = rest
+        delta = delta * mask
+        bsz, ho, wo, cout = delta.shape
+        dflat = delta.reshape(-1, cout)
+        grads[p] = (flat.T @ dflat).reshape(weight.shape)
+        grads[p + 1] = dflat.sum(axis=0)
+        k = layer.kernel
+        dcols = (dflat @ weight.reshape(-1, cout).T).reshape(bsz, ho, wo, k, k, -1)
+        dxp = np.zeros(xp_shape, dtype=delta.dtype)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, i : i + ho, j : j + wo] += dcols[:, :, :, i, j]
+        delta = dxp[:, top : xp_shape[1] - bottom, top : xp_shape[2] - bottom]
+    return grads
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelOracle:
+    """The strided-slice pooling, fmax ReLU and per-offset conv backward
+    reproduce the argmax/put_along_axis/col2im kernels bit for bit."""
+
+    def _train_both(self, model, images, labels, steps=3):
+        ref = copy.deepcopy(model)
+        for _ in range(steps):
+            probs, caches = forward(model, images, with_caches=True)
+            ref_probs, ref_caches = _reference_forward(ref, images)
+            assert _same_bytes(probs, ref_probs)
+            pools = [c for c in caches if c[0] == "pool"]
+            ref_pools = [c for c in ref_caches if isinstance(c[0], Pool)]
+            for (_, _, arg, _), (_, ref_arg, _) in zip(pools, ref_pools):
+                np.testing.assert_array_equal(arg, ref_arg[:, :, :, 0])
+            grads = backward(model, caches, labels)
+            ref_grads = _reference_backward(ref, ref_caches, ref_probs, labels)
+            assert all(_same_bytes(g, r) for g, r in zip(grads, ref_grads))
+            adam_step(model, grads)
+            adam_step(ref, ref_grads)
+        for group, ref_group in (
+            (model.params, ref.params),
+            (model.adam.m, ref.adam.m),
+            (model.adam.v, ref.adam.v),
+        ):
+            assert all(_same_bytes(t, r) for t, r in zip(group, ref_group))
+
+    def test_production_net_on_tie_heavy_batch(self, rng):
+        images = rng.integers(0, 4, size=(8, 128, 128), dtype=np.uint8) * np.uint8(85)
+        images[:, :48, :48] = 0
+        images[:, 80:, 80:] = 255
+        images[0] = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
+        self._train_both(model_init(seed=1), images, np.array([0, 1] * 4))
+
+    def test_production_net_batch_of_one(self, rng):
+        model = model_init(seed=2)
+        image = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
+        expected, _ = _reference_forward(model, image)
+        assert _same_bytes(forward(model, image)[0], expected)
+        assert _same_bytes(predict(model, image).probabilities, expected[0])
+
+    def test_reduced_net_float64(self, rng):
+        images = rng.random((4, 16, 16))
+        images[0, :8] = 0.0
+        self._train_both(_small_model(seed=3), images, np.array([0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_mask_form_on_special_values(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [np.nan, -0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.0]
+        # Short arrays and odd tails take fmax's scalar loop, longer ones SIMD.
+        for n in (1, 7, 9, 16, 33, 70):
+            for offset in range(len(special)):
+                z = np.resize(np.roll(np.asarray(special, dtype=dtype), offset), n)
+                expected = np.where(z > 0, z, np.asarray(0.0, dtype=dtype))
+                assert _same_bytes(cnn._relu(z.copy()), expected), (n, offset)
 
 
 class TestLoss:

@@ -17,6 +17,8 @@ from gafecg.train_eval import (
     RESULTS_FIELDS,
     VARIANTS,
     ConfusionCounts,
+    DatasetItem,
+    DatasetVariant,
     Hyperparams,
     batched_probs,
     compute_metrics,
@@ -175,8 +177,27 @@ class TestMakeFolds:
         assert all(len(folds) == 1 for folds in folds_per_record.values())
 
     def test_patient_split_needs_enough_records(self, variant):
-        with pytest.raises(InvalidFoldCount, match="records"):
+        message = r"3 folds for 2 subjects \(2 records\)"
+        with pytest.raises(InvalidFoldCount, match=message):
             make_folds(variant, k=3, seed=0, split="patient")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_patient_split_keeps_subjects_whole(self, seed):
+        # Six subjects with two records each, as PTB subjects have several.
+        record_ids = [f"patient{i // 4:03d}/s{i // 2:04d}" for i in range(24)]
+        items = [
+            DatasetItem(f"{i}.png", "mi", rid, 0, "gasf", "noisy")
+            for i, rid in enumerate(record_ids)
+        ]
+        images = np.zeros((24, 2, 2), dtype=np.uint8)
+        variant = DatasetVariant("ds1", "noisy", "gasf", items, images, np.ones(24))
+        plan = make_folds(variant, k=4, seed=seed, split="patient")
+        folds_per_subject = {}
+        for rid, fold in zip(record_ids, plan.assignments):
+            folds_per_subject.setdefault(rid.split("/")[0], set()).add(int(fold))
+        assert len(folds_per_subject) == 6
+        assert all(len(folds) == 1 for folds in folds_per_subject.values())
+        assert set(plan.assignments.tolist()) == set(range(4))
 
     def test_too_many_folds_rejected(self, variant):
         with pytest.raises(InvalidFoldCount):
