@@ -4,7 +4,8 @@ Stages: ingest -> preprocess -> segment -> encode -> train -> eval ->
 report, plus "pipeline" to run them all. Each stage reads the previous
 stage's manifest, writes its own outputs plus the resolved configuration
 under the output root, and is skipped on re-runs when its outputs already
-exist for an identical configuration (override with --force).
+exist for an identical configuration (override with --force). Eval fails
+unless the re-scored checkpoints reproduce train's ``results.csv``.
 
 Exit status: 0 on success, 1 when a stage fails, 2 for usage errors.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import train_eval
+from . import cnn, train_eval
 from .errors import PipelineError
 from .gaf_encode import encode_beats, write_images
 from .qrs_segment import Beat, pan_tompkins, segment_beats
@@ -35,6 +36,9 @@ NOISE_VARIANTS = ("noisy", "clean")
 REFERENCE_BEATS = {"healthy": 10139, "mi": 30128}
 
 STAGES = ("ingest", "preprocess", "segment", "encode", "train", "eval", "report")
+SUMMARY_FIELDS = [
+    "variant", "mean_acc", "std_acc", "mean_sen", "std_sen", "mean_spe", "std_spe",
+]
 
 
 @dataclass
@@ -320,8 +324,6 @@ def stage_train(cfg: PipelineConfig) -> None:
 
 
 def stage_eval(cfg: PipelineConfig) -> None:
-    from . import cnn
-
     for variant_id in cfg.variants():
         out = Path(cfg.output_root) / "eval" / variant_id
         eval_csv = out / "eval_results.csv"
@@ -332,55 +334,28 @@ def stage_eval(cfg: PipelineConfig) -> None:
         results_csv = _require(train_dir / "results.csv", "train")
         encode_dir = Path(cfg.output_root) / "encode" / variant_id
         _require(encode_dir / "manifest.csv", "encode")
+        trained = train_eval.read_results_csv(results_csv)
         variant = train_eval.load_variant(encode_dir, variant_id)
         plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
-        rows = []
-        for fold in range(plan.k):
+        if [r.fold for r in trained] != list(range(plan.k)):
+            raise PipelineError(f"{results_csv}: expected folds 0..{plan.k - 1} in order")
+        rescored = []
+        for result in trained:
             checkpoint = _require(
-                train_dir / f"{variant_id}_fold{fold:02d}.ckpt", "train"
+                train_dir / f"{variant_id}_fold{result.fold:02d}.ckpt", "train"
             )
             model = cnn.load_checkpoint(
                 checkpoint, expected_layers=cnn.classifier_layers()
             )
-            test_idx = np.nonzero(plan.assignments == fold)[0]
-            probs = train_eval.batched_probs(
-                model, variant.images[test_idx], cfg.batch_size
+            test_idx = np.nonzero(plan.assignments == result.fold)[0]
+            counts, metrics = train_eval.evaluate(
+                model, variant.images[test_idx], variant.labels[test_idx], cfg.batch_size
             )
-            counts = train_eval.confusion(
-                variant.labels[test_idx], np.argmax(probs, axis=1)
-            )
-            metrics = train_eval.compute_metrics(counts)
-            rows.append(
-                {
-                    "fold": fold,
-                    "variant": variant_id,
-                    "tp": counts.tp,
-                    "tn": counts.tn,
-                    "fp": counts.fp,
-                    "fn": counts.fn,
-                    "acc": f"{metrics.accuracy:.2f}",
-                    "sen": f"{metrics.sensitivity:.2f}",
-                    "spe": f"{metrics.specificity:.2f}",
-                }
-            )
+            rescored.append(dataclasses.replace(result, counts=counts, metrics=metrics))
         out.mkdir(parents=True, exist_ok=True)
-        with open(eval_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=["fold", "variant", "tp", "tn", "fp", "fn", "acc", "sen", "spe"],
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        # Cross-check against the training-time counts.
-        with open(results_csv, newline="") as fh:
-            trained = {int(r["fold"]): r for r in csv.DictReader(fh)}
+        train_eval.write_results_csv(rescored, eval_csv)
         mismatches = [
-            row["fold"]
-            for row in rows
-            if any(
-                str(row[k]) != trained[int(row["fold"])][k]
-                for k in ("tp", "tn", "fp", "fn")
-            )
+            new.fold for old, new in zip(trained, rescored) if new.counts != old.counts
         ]
         if mismatches:
             raise PipelineError(
@@ -388,7 +363,7 @@ def stage_eval(cfg: PipelineConfig) -> None:
                 f"results.csv for folds {mismatches}"
             )
         _write_config(cfg, out)
-        print(f"[eval:{variant_id}] {len(rows)} folds re-scored, counts match")
+        print(f"[eval:{variant_id}] {len(rescored)} folds re-scored, counts match")
 
 
 def stage_report(cfg: PipelineConfig) -> None:
@@ -406,39 +381,16 @@ def stage_report(cfg: PipelineConfig) -> None:
         results_csv = _require(
             Path(cfg.output_root) / "train" / variant_id / "results.csv", "train"
         )
-        with open(results_csv, newline="") as fh:
-            folds = list(csv.DictReader(fh))
-        stats = {}
-        for key in ("acc", "sen", "spe"):
-            values = np.array([float(r[key]) for r in folds])
-            stats[key] = (float(np.mean(values)), float(np.std(values)))
-        rows.append(
-            {
-                "variant": variant_id,
-                "mean_acc": f"{stats['acc'][0]:.4f}",
-                "std_acc": f"{stats['acc'][1]:.4f}",
-                "mean_sen": f"{stats['sen'][0]:.4f}",
-                "std_sen": f"{stats['sen'][1]:.4f}",
-                "mean_spe": f"{stats['spe'][0]:.4f}",
-                "std_spe": f"{stats['spe'][1]:.4f}",
-            }
-        )
+        stats = train_eval.summarize(train_eval.read_results_csv(results_csv))
+        rows.append([variant_id, *(f"{v:.4f}" for pair in stats.values() for v in pair)])
         lines.append(
             f"{variant_id:>7} "
-            f"{stats['acc'][0]:>8.4f}+-{stats['acc'][1]:<7.4f} "
-            f"{stats['sen'][0]:>8.4f}+-{stats['sen'][1]:<7.4f} "
-            f"{stats['spe'][0]:>8.4f}+-{stats['spe'][1]:<7.4f}"
+            + " ".join(f"{mean:>8.4f}+-{std:<7.4f}" for mean, std in stats.values())
         )
     out.mkdir(parents=True, exist_ok=True)
     with open(summary_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "variant", "mean_acc", "std_acc", "mean_sen", "std_sen",
-                "mean_spe", "std_spe",
-            ],
-        )
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_FIELDS)
         writer.writerows(rows)
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     _write_config(cfg, out)

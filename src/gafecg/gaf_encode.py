@@ -9,8 +9,6 @@ storage as a grayscale image.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +19,6 @@ from .png_io import write_gray_png
 
 IMAGE_SIZE = 128
 GAF_KINDS = ("gasf", "gadf")
-WORKERS_ENV = "GAF_ECG_THREADS"
 
 
 def paa_downsample(x: np.ndarray, target: int = IMAGE_SIZE) -> np.ndarray:
@@ -117,28 +114,9 @@ def encode_beat(beat, kind: str) -> GafImage:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise InvalidInput(f"{WORKERS_ENV}={raw!r} is not an integer") from exc
-        if n < 1:
-            raise InvalidInput(f"{WORKERS_ENV} must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def encode_beats(beats, kind: str, workers: int | None = None) -> list[GafImage]:
-    """Encode many beats, preserving input order regardless of worker count."""
-    if workers is None:
-        workers = _worker_count()
-    beats = list(beats)
-    if workers <= 1 or len(beats) < 2:
-        return [encode_beat(b, kind) for b in beats]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: encode_beat(b, kind), beats))
+def encode_beats(beats, kind: str) -> list[GafImage]:
+    """Encode many beats, in input order."""
+    return [encode_beat(b, kind) for b in beats]
 
 
 MANIFEST_FIELDS = ["path", "label", "record_id", "r_peak_index", "kind", "noise_variant"]

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBeat, InvalidInput, UnsupportedRate
-from .signal_prep import zscore
+from .signal_prep import SAMPLING_RATE, zscore
 
-SAMPLING_RATE = 1000.0
 PRE_SAMPLES = 250
 POST_SAMPLES = 400
 BEAT_LENGTH = PRE_SAMPLES + 1 + POST_SAMPLES  # 651

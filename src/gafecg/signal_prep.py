@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBeat, InvalidDecomposition, InvalidInput, InvalidLevels
+from .errors import (
+    DegenerateBeat, InvalidDecomposition, InvalidInput, InvalidLevels, UnsupportedRate,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +44,7 @@ DB4_DEC_LO = DB4_REC_LO[::-1].copy()
 DB4_DEC_HI = np.array([(-1) ** (k + 1) * DB4_REC_LO[k] for k in range(FILTER_LEN)])
 DB4_REC_HI = DB4_DEC_HI[::-1].copy()
 
+SAMPLING_RATE = 1000.0  # the denoiser's and the R-peak detector's calibration
 BASELINE_LEVELS = 9  # approximation band ~0-0.98 Hz at 1000 Hz
 NOISE_DETAIL_LEVELS = 2  # soft-threshold the two finest detail bands
 MAD_TO_SIGMA = 0.6745  # median(|x|) -> sigma for Gaussian noise
@@ -165,11 +168,16 @@ def _soft_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
 def denoise(record):
     """Return a copy of ``record`` with baseline wander and noise removed.
 
-    Expects a 1000 Hz record (``gafecg.wfdb_ingest.EcgRecord``). Signals too
-    short for the full 9-level decomposition are processed at the deepest
-    admissible depth with a warning; signals too short for any decomposition
-    raise InvalidInput.
+    Expects a 1000 Hz record (``gafecg.wfdb_ingest.EcgRecord``); any other
+    rate raises UnsupportedRate. Signals too short for the full 9-level
+    decomposition are processed at the deepest admissible depth with a
+    warning; signals too short for any decomposition raise InvalidInput.
     """
+    if record.sampling_rate != SAMPLING_RATE:
+        raise UnsupportedRate(
+            f"denoiser calibrated for {SAMPLING_RATE:g} Hz, "
+            f"got {record.sampling_rate:g} Hz"
+        )
     x = np.asarray(record.samples, dtype=np.float64)
     levels = min(BASELINE_LEVELS, max_levels(len(x)))
     if levels < 1:

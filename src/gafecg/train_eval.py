@@ -3,7 +3,7 @@
 Four dataset variants pair a noise condition with a field kind: ds1 =
 raw + summation, ds2 = raw + difference, ds3 = denoised + summation,
 ds4 = denoised + difference. Items are split into k folds (shuffled
-round-robin over beats, or over records to keep a subject inside one
+round-robin over beats, or over subjects to keep a subject inside one
 fold); each fold's remainder is split 80/20 into train/validation, the
 network trains with Adam and early stopping on validation loss, and the
 best-validation model is scored on the held-out fold.
@@ -251,6 +251,14 @@ def batched_probs(model: cnn.CnnModel, images: np.ndarray, batch: int) -> np.nda
     return np.concatenate(parts, axis=0)
 
 
+def evaluate(
+    model: cnn.CnnModel, images: np.ndarray, labels: np.ndarray, batch: int
+) -> tuple[ConfusionCounts, Metrics]:
+    """Score ``model`` on labelled images: confusion counts and their metrics."""
+    counts = confusion(labels, np.argmax(batched_probs(model, images, batch), axis=1))
+    return counts, compute_metrics(counts)
+
+
 def _eval_split(
     model: cnn.CnnModel, images: np.ndarray, labels: np.ndarray, batch: int
 ) -> tuple[float, float]:
@@ -330,10 +338,9 @@ def train_fold(
     if best_state is not None:
         model.params, model.adam = best_state
 
-    test_probs = batched_probs(model, images[test_idx], hyper.batch_size)
-    predicted = np.argmax(test_probs, axis=1)
-    counts = confusion(labels[test_idx], predicted)
-    metrics = compute_metrics(counts)
+    counts, metrics = evaluate(
+        model, images[test_idx], labels[test_idx], hyper.batch_size
+    )
     checkpoint_path = None
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -394,6 +401,35 @@ def write_results_csv(results: list[FoldResult], path: str | Path) -> None:
                     "epochs_run": r.epochs_run,
                 }
             )
+
+
+def read_results_csv(path: str | Path) -> list[FoldResult]:
+    """Read a ``write_results_csv`` file; metrics are recomputed from the counts."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != RESULTS_FIELDS:
+            raise BuildError(
+                f"{path}: bad columns {reader.fieldnames}, expected {RESULTS_FIELDS}"
+            )
+        rows = list(reader)
+    results = []
+    for row in rows:
+        try:
+            counts = ConfusionCounts(*(int(row[k]) for k in ("tp", "tn", "fp", "fn")))
+            fold, epochs_run = int(row["fold"]), int(row["epochs_run"])
+        except ValueError as exc:
+            raise BuildError(f"{path}: {exc}") from exc
+        results.append(
+            FoldResult(
+                fold=fold,
+                variant_id=row["variant"],
+                counts=counts,
+                metrics=compute_metrics(counts),
+                epochs_run=epochs_run,
+            )
+        )
+    return results
 
 
 def write_curves_csv(results: list[FoldResult], path: str | Path) -> None:

@@ -1,16 +1,30 @@
 """End-to-end command-line pipeline tests over the synthetic corpus."""
 import csv
 import json
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gafecg import cli
 from gafecg.cli import main
 from gafecg.png_io import read_gray_png
 from gafecg.synthetic import synth_ecg
+from gafecg.train_eval import (
+    ConfusionCounts,
+    FoldResult,
+    compute_metrics,
+    summarize,
+    write_results_csv,
+)
 from gafecg.wfdb_ingest import write_record
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _read_csv(path):
@@ -104,13 +118,9 @@ class TestStageOutputs:
 
     def test_eval_matches_train(self, pipeline_run):
         out, _ = pipeline_run
-        trained = {int(r["fold"]): r for r in _read_csv(out / "train" / "ds1" / "results.csv")}
-        scored = _read_csv(out / "eval" / "ds1" / "eval_results.csv")
-        assert len(scored) == 10
-        for row in scored:
-            ref = trained[int(row["fold"])]
-            for key in ("tp", "tn", "fp", "fn", "acc", "sen", "spe"):
-                assert row[key] == ref[key], (row["fold"], key)
+        scored = out / "eval" / "ds1" / "eval_results.csv"
+        assert len(_read_csv(scored)) == 10
+        assert scored.read_bytes() == (out / "train" / "ds1" / "results.csv").read_bytes()
 
     def test_report_outputs(self, pipeline_run):
         out, _ = pipeline_run
@@ -121,6 +131,49 @@ class TestStageOutputs:
         text = (out / "report" / "report.txt").read_text()
         assert "seed: 3" in text
         assert "ds1" in text
+
+
+class TestReport:
+    def test_summary_comes_from_the_counts(self, tmp_path):
+        # Counts whose 2-decimal metrics do not average to the exact mean.
+        results = []
+        for fold in range(10):
+            counts = ConfusionCounts(
+                tp=3001 + 7 * fold, tn=997 + 3 * fold, fp=fold % 7, fn=(3 * fold) % 5
+            )
+            results.append(FoldResult(fold, "ds1", counts, compute_metrics(counts), 4))
+        train_dir = tmp_path / "out" / "train" / "ds1"
+        train_dir.mkdir(parents=True)
+        write_results_csv(results, train_dir / "results.csv")
+        assert main(["report", "--out", str(tmp_path / "out"), "--variant", "ds1"]) == 0
+        (row,) = _read_csv(tmp_path / "out" / "report" / "summary.csv")
+        stats = summarize(results)
+        names = {"acc": "accuracy", "sen": "sensitivity", "spe": "specificity"}
+        for short, name in names.items():
+            mean, std = stats[name]
+            assert row[f"mean_{short}"] == f"{mean:.4f}", short
+            assert row[f"std_{short}"] == f"{std:.4f}", short
+        text = (tmp_path / "out" / "report" / "report.txt").read_text()
+        assert f"{stats['accuracy'][0]:>8.4f}+-{stats['accuracy'][1]:<7.4f}" in text
+
+    @pytest.mark.parametrize("stage", ["report", "eval"])
+    def test_results_file_with_wrong_header_is_one_error_line(
+        self, pipeline_run, tmp_path, capsys, stage
+    ):
+        out, _ = pipeline_run
+        copy = tmp_path / "out"
+        # Checkpoints are left out: the header is checked before any is read.
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("*.ckpt"))
+        results_csv = copy / "train" / "ds1" / "results.csv"
+        # The nine columns eval_results.csv had before it gained epochs_run.
+        lines = results_csv.read_text().splitlines()
+        results_csv.write_text("".join(f"{line.rsplit(',', 1)[0]}\n" for line in lines))
+        capsys.readouterr()
+        argv = [stage, "--out", str(copy), "--variant", "ds1", "--seed", "3", "--force"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(results_csv) in err[0]
 
 
 class TestResumability:
@@ -238,7 +291,7 @@ class TestRecordFilters:
 
 
 class TestSamplingRate:
-    def test_segment_rejects_rate_the_detector_is_not_calibrated_for(
+    def test_preprocess_rejects_rate_the_denoiser_is_not_calibrated_for(
         self, tmp_path, capsys
     ):
         root = tmp_path / "corpus"
@@ -251,20 +304,52 @@ class TestSamplingRate:
         out = tmp_path / "out"
         base = ["--dataset-root", str(root), "--out", str(out)]
         assert main(["ingest", *base]) == 0
-        assert main(["preprocess", *base]) == 0
-        rows = _read_csv(out / "preprocess" / "signals.csv")
-        assert [r["sampling_rate"] for r in rows] == ["500.0"] * 4
         capsys.readouterr()
-        assert main(["segment", *base]) == 1
+        assert main(["preprocess", *base]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: denoiser calibrated for 1000 Hz, got 500 Hz\n"
+        assert not (out / "preprocess" / "signals.csv").exists()
+
+    def test_segment_rejects_rate_the_detector_is_not_calibrated_for(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run[0] / "preprocess", out / "preprocess")
+        signals = out / "preprocess" / "signals.csv"
+        lines = signals.read_text().splitlines()
+        assert lines[0].endswith(",sampling_rate")
+        assert all(line.endswith(",1000.0") for line in lines[1:])
+        rows = "".join(f"{line.rsplit(',', 1)[0]},500.0\n" for line in lines[1:])
+        signals.write_text(f"{lines[0]}\n{rows}")
+        capsys.readouterr()
+        assert main(["segment", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: detector calibrated for 1000 Hz, got 500 Hz\n"
         assert not (out / "segment" / "beats_clean.csv").exists()
         # A signals.csv written before the rate was recorded is refused.
-        signals = out / "preprocess" / "signals.csv"
-        lines = signals.read_text().splitlines()
         signals.write_text("".join(f"{line.rsplit(',', 1)[0]}\n" for line in lines))
-        assert main(["segment", *base]) == 1
+        assert main(["segment", "--out", str(out)]) == 1
         assert "has no sampling_rate; re-run preprocess" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        """Every CLI command in README.md's code blocks is one the CLI accepts."""
+        readme = (REPO / "README.md").read_text()
+        blocks = re.findall(r"^```\w*\n(.*?)^```", readme, re.M | re.S)
+        commands = []
+        for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gafecg"]:
+                commands.append(words[1:])
+            elif words[:3] == ["python3", "-m", "gafecg.cli"]:
+                commands.append(words[3:])
+            elif len(words) > 1 and words[0] == "python3" and words[1].endswith(".py"):
+                assert (REPO / words[1]).is_file(), line
+        assert len(commands) >= 2
+        for argv in commands:
+            parser = cli._build_parser()
+            cli._config_from_args(parser.parse_args(argv), parser)
 
 
 class TestEntryPoint:

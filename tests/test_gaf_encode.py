@@ -11,7 +11,6 @@ from gafecg.gaf_encode import (
     GAF_KINDS,
     IMAGE_SIZE,
     MANIFEST_FIELDS,
-    WORKERS_ENV,
     GafImage,
     encode_beat,
     encode_beats,
@@ -246,28 +245,6 @@ class TestEncodeBeats:
         assert image.record_id == beat.source_record
         assert image.r_peak_index == beat.r_peak_index
 
-    def test_parallel_matches_serial_order(self, rng):
-        beats = _beats(rng, 16)
-        serial = encode_beats(beats, "gasf", workers=1)
-        parallel = encode_beats(beats, "gasf", workers=4)
-        assert [i.file_name for i in serial] == [i.file_name for i in parallel]
-        for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.pixels, b.pixels)
-
-    def test_worker_env_override(self, rng, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        assert len(encode_beats(_beats(rng, 4), "gasf")) == 4
-
-    def test_worker_env_rejects_non_integer(self, rng, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(InvalidInput, match=WORKERS_ENV):
-            encode_beats(_beats(rng, 4), "gasf")
-
-    def test_worker_env_rejects_nonpositive(self, rng, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.raises(InvalidInput, match=WORKERS_ENV):
-            encode_beats(_beats(rng, 4), "gasf")
-
 
 class TestWriteImages:
     def test_file_name_format(self):
@@ -281,7 +258,7 @@ class TestWriteImages:
         assert image.file_name == "patient001__s0010_r0000042_gasf.png"
 
     def test_manifest_and_pixels(self, rng, tmp_path):
-        images = encode_beats(_beats(rng, 6), "gasf", workers=1)
+        images = encode_beats(_beats(rng, 6), "gasf")
         manifest = write_images(images, tmp_path / "enc", noise_variant="clean")
         with open(manifest, newline="") as fh:
             rows = list(csv.DictReader(fh))

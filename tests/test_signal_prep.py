@@ -12,6 +12,7 @@ from gafecg.errors import (
     InvalidDecomposition,
     InvalidInput,
     InvalidLevels,
+    UnsupportedRate,
 )
 from gafecg.signal_prep import (
     BASELINE_LEVELS,
@@ -213,6 +214,15 @@ class TestDenoise:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInput):
             denoise(_record(np.zeros(10)))
+
+    def test_other_sampling_rate_rejected(self, rng):
+        record = dataclasses.replace(
+            _record(rng.standard_normal(5000)), sampling_rate=500.0
+        )
+        with pytest.raises(
+            UnsupportedRate, match="^denoiser calibrated for 1000 Hz, got 500 Hz$"
+        ):
+            denoise(record)
 
 
 class TestZscore:

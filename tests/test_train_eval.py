@@ -23,8 +23,10 @@ from gafecg.train_eval import (
     batched_probs,
     compute_metrics,
     confusion,
+    evaluate,
     load_variant,
     make_folds,
+    read_results_csv,
     summarize,
     train_fold,
     train_run,
@@ -49,7 +51,7 @@ def encode_dir(tmp_path_factory):
         record = EcgRecord(f"patient{i:03d}/s{i:04d}", label, "ii", ecg.samples, 1000.0)
         result = segment_beats(record, RPeakList(ecg.r_indices, 1000.0))
         beats.extend(result.beats)
-    images = encode_beats(beats, "gasf", workers=1)
+    images = encode_beats(beats, "gasf")
     write_images(images, out, noise_variant="noisy")
     return out
 
@@ -282,6 +284,10 @@ class TestTrainFold:
         probs = batched_probs(model, variant.images[test_idx], HYPER.batch_size)
         counts = confusion(variant.labels[test_idx], np.argmax(probs, axis=1))
         assert counts == result.counts
+        scored = evaluate(
+            model, variant.images[test_idx], variant.labels[test_idx], HYPER.batch_size
+        )
+        assert scored == (result.counts, result.metrics)
 
     def test_deterministic_re_run(self, trained):
         variant, plan, result = trained
@@ -339,6 +345,32 @@ class TestRunAndReports:
                 tp=int(row["tp"]), tn=int(row["tn"]), fp=int(row["fp"]), fn=int(row["fn"])
             )
             assert counts == r.counts
+
+    def test_results_csv_round_trip(self, run, tmp_path):
+        _, _, results = run
+        path = tmp_path / "results.csv"
+        write_results_csv(results, path)
+        back = read_results_csv(path)
+        assert [(r.fold, r.variant_id, r.epochs_run) for r in back] == [
+            (r.fold, r.variant_id, r.epochs_run) for r in results
+        ]
+        assert [(r.counts, r.metrics) for r in back] == [
+            (r.counts, r.metrics) for r in results
+        ]
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("fold,variant,tp,tn,fp,fn,acc,sen,spe", "0,ds1,3,4,0,1,87.50,75.00,100.00"),
+            (",".join(RESULTS_FIELDS), "0,ds1,3,4,0,x,87.50,75.00,100.00,2"),
+        ],
+        ids=["header", "count"],
+    )
+    def test_read_results_rejects_malformed_file(self, tmp_path, header, row):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(BuildError, match="results.csv"):
+            read_results_csv(path)
 
     def test_curves_csv_format(self, run, tmp_path):
         _, _, results = run
