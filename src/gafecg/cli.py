@@ -101,6 +101,25 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
+def _read_table(path: Path, fields: tuple[str, ...], producer: str) -> list[dict]:
+    """Rows of a stage's CSV table, checked to have every one of ``fields``."""
+    with open(_require(path, producer), newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [f for f in fields if f not in (reader.fieldnames or ())]
+        if missing:
+            raise PipelineError(
+                f"{path} has no {', '.join(missing)}; re-run {producer}"
+            )
+        return list(reader)
+
+
+def _load_array(path: Path) -> np.ndarray:
+    try:
+        return np.load(path)
+    except (ValueError, EOFError) as exc:  # truncated or not an .npy file
+        raise PipelineError(f"cannot read {path}: {exc}") from exc
+
+
 def _safe_name(record_id: str) -> str:
     return record_id.replace("/", "__")
 
@@ -143,9 +162,9 @@ def stage_ingest(cfg: PipelineConfig) -> None:
 
 
 def _read_records(cfg: PipelineConfig) -> list[tuple[str, str]]:
-    records_csv = _require(Path(cfg.output_root) / "ingest" / "records.csv", "ingest")
-    with open(records_csv, newline="") as fh:
-        return [(row["record_id"], row["label"]) for row in csv.DictReader(fh)]
+    records_csv = Path(cfg.output_root) / "ingest" / "records.csv"
+    rows = _read_table(records_csv, ("record_id", "label"), "ingest")
+    return [(row["record_id"], row["label"]) for row in rows]
 
 
 def stage_preprocess(cfg: PipelineConfig) -> None:
@@ -196,14 +215,12 @@ def stage_segment(cfg: PipelineConfig) -> None:
     if _stage_current(cfg, out, done_marker):
         print("[segment] up to date, skipping")
         return
-    signals_csv = _require(
-        Path(cfg.output_root) / "preprocess" / "signals.csv", "preprocess"
+    pre_dir = Path(cfg.output_root) / "preprocess"
+    rows = _read_table(
+        pre_dir / "signals.csv",
+        ("record_id", "label", "noise_variant", "path", "sampling_rate"),
+        "preprocess",
     )
-    pre_dir = signals_csv.parent
-    with open(signals_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if rows and "sampling_rate" not in rows[0]:
-        raise PipelineError(f"{signals_csv} has no sampling_rate; re-run preprocess")
     out.mkdir(parents=True, exist_ok=True)
     report = ["record_id\tnoise\tbeats\tskipped_bounds\tskipped_degenerate"]
     totals: dict[str, dict[str, int]] = {
@@ -215,7 +232,7 @@ def stage_segment(cfg: PipelineConfig) -> None:
         for row in rows:
             if row["noise_variant"] != noise_variant:
                 continue
-            samples = np.load(pre_dir / row["path"])
+            samples = _load_array(pre_dir / row["path"])
             record = EcgRecord(
                 subject_id=row["record_id"],
                 label=Label(row["label"]),
@@ -276,11 +293,10 @@ def stage_encode(cfg: PipelineConfig) -> None:
         if _stage_current(cfg, out, manifest):
             print(f"[encode:{variant_id}] up to date, skipping")
             continue
-        beats_csv = _require(seg_dir / f"beats_{noise_variant}.csv", "segment")
+        beats_csv = seg_dir / f"beats_{noise_variant}.csv"
+        meta = _read_table(beats_csv, ("record_id", "label", "r_peak_index"), "segment")
         beats_npy = _require(seg_dir / f"beats_{noise_variant}.npy", "segment")
-        samples = np.load(beats_npy)
-        with open(beats_csv, newline="") as fh:
-            meta = list(csv.DictReader(fh))
+        samples = _load_array(beats_npy)
         if len(meta) != len(samples):
             raise PipelineError(
                 f"{beats_csv} has {len(meta)} rows but {beats_npy} has "

@@ -5,14 +5,18 @@ conv/max-pool blocks (16, 32, 64, 128 channels), a 100-unit ReLU layer and
 a 2-unit sigmoid head. Forward and backward passes are written out
 explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
 
-- Convolutions are im2col GEMMs. The backward pass accumulates one GEMM per
-  kernel offset into the padded input gradient. A conv layer holding the
-  first parameters computes no input gradient: no parameter below uses it.
+- Convolutions are im2col GEMMs; the bias is added to the GEMM output in
+  place. The backward pass multiplies the ReLU mask into the incoming
+  gradient in place and accumulates one GEMM per kernel offset into the
+  padded input gradient. A conv layer holding the first parameters
+  computes no input gradient: no parameter below uses it.
 - Max pooling takes the elementwise maximum of the size**2 strided slices
   of its non-overlapping windows. With caches kept it also records the
   first slice, in row-major window order, that holds the maximum, so the
   gradient of a tie goes to the first tied cell, as with ``np.argmax``.
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
+- Adam updates the moments and parameters in place, in the operation order
+  of the textbook formula, so the bytes equal an out-of-place update.
 
 A reduced configuration (`reduced_layers`) keeps every layer type but
 shrinks the image and channel counts so finite-difference gradient checks
@@ -243,6 +247,15 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    # Equal to a.sum(axis=0) byte for byte, and about 3x faster on a tall
+    # (N, c) array. Both add each column's entries one by one in row order,
+    # except that add.reduce sums a single contiguous column pairwise.
+    if a.shape[1] == 1:
+        return a.sum(axis=0)
+    return np.einsum("ij->j", a)
+
+
 def _pool_cells(a: np.ndarray, size: int) -> list[np.ndarray]:
     # The size**2 cells of every window as strided views, row-major order.
     hc, wc = a.shape[1] - a.shape[1] % size, a.shape[2] - a.shape[2] % size
@@ -291,7 +304,8 @@ def forward(
             cols = _im2col(xp, layer.kernel)
             bsz, ho, wo = cols.shape[:3]
             flat = cols.reshape(bsz * ho * wo, -1)
-            z = flat @ weight.reshape(-1, weight.shape[-1]) + bias
+            z = flat @ weight.reshape(-1, weight.shape[-1])
+            z += bias
             a = _relu(z.reshape(bsz, ho, wo, weight.shape[-1]))
             if with_caches:
                 caches.append(("conv", layer, flat, xp.shape, pad, a > 0))
@@ -390,9 +404,9 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             weight = model.params[p]
             if layer.activation == "relu":
                 # delta currently holds dL/da for this layer's output
-                delta = delta * act_cache
-            grads[p] = (a_in.T @ delta).astype(model.dtype)
-            grads[p + 1] = delta.sum(axis=0).astype(model.dtype)
+                np.multiply(delta, act_cache, out=delta)
+            grads[p] = (a_in.T @ delta).astype(model.dtype, copy=False)
+            grads[p + 1] = delta.sum(axis=0).astype(model.dtype, copy=False)
             delta = delta @ weight.T
         elif kind == "flatten":
             spatial, _ = rest
@@ -410,16 +424,20 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             flat, xp_shape, pad, mask = rest
             p -= 2
             weight = model.params[p]
-            delta = delta * mask
+            # delta is an array backward made (the pool's dx, a dxp slice or
+            # the dense gradient reshaped), never a cache or a parameter.
+            np.multiply(delta, mask, out=delta)
             bsz, ho, wo, cout = delta.shape
             dflat = delta.reshape(bsz * ho * wo, cout)
-            grads[p] = (flat.T @ dflat).reshape(weight.shape).astype(model.dtype)
-            grads[p + 1] = dflat.sum(axis=0).astype(model.dtype)
+            dw = flat.T @ dflat
+            grads[p] = dw.reshape(weight.shape).astype(model.dtype, copy=False)
+            grads[p + 1] = _column_sums(dflat).astype(model.dtype, copy=False)
             if p == 0:
                 break  # the input gradient of the first layer feeds nothing
             dxp = np.zeros(xp_shape, dtype=delta.dtype)
+            dx_ij = np.empty((bsz, ho, wo, weight.shape[2]), dtype=delta.dtype)
             for i, j in np.ndindex(weight.shape[:2]):
-                dx_ij = (dflat @ weight[i, j].T).reshape(bsz, ho, wo, -1)
+                np.matmul(dflat, weight[i, j].T, out=dx_ij.reshape(len(dflat), -1))
                 dxp[:, i : i + ho, j : j + wo, :] += dx_ij
             top, bottom = pad
             if top or bottom:
@@ -449,13 +467,24 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], lr: float = 0.001) -> Cn
     bc2 = 1.0 - ADAM_BETA2**t
     for i, g in enumerate(grads):
         g = g.astype(model.dtype, copy=False)
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        model.params[i] -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(
-            model.dtype
-        )
+        m, v = state.m[i], state.v[i]
+        scratch = np.empty_like(m)
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+        m += scratch
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - ADAM_BETA2
+        v += scratch
+        # params -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        step = m / bc1
+        step *= lr
+        step /= scratch
+        model.params[i] -= step
     return model
 
 

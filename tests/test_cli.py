@@ -249,6 +249,52 @@ class TestFailureModes:
         assert exc.value.code == 2
 
 
+def _rename_column(old, new):
+    def corrupt(path):
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header.replace(old, new) + "\n" + rest)
+
+    return corrupt
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+# stage, the input it reads (a glob under the output root), how it is damaged
+UNREADABLE_INPUTS = {
+    "records-without-record_id": (
+        "preprocess", "ingest/records.csv", _rename_column("record_id", "rid")
+    ),
+    "signals-without-path": (
+        "segment", "preprocess/signals.csv", _rename_column("path", "file")
+    ),
+    "beats-without-r_peak_index": (
+        "encode", "segment/beats_noisy.csv", _rename_column("r_peak_index", "r")
+    ),
+    "truncated-signal-npy": ("segment", "preprocess/*__noisy.npy", _truncate),
+    "truncated-beats-npy": ("encode", "segment/beats_noisy.npy", _truncate),
+}
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+    def test_one_error_line(self, pipeline_run, toy_corpus, tmp_path, capsys, case):
+        stage, pattern, corrupt = UNREADABLE_INPUTS[case]
+        out = tmp_path / "out"
+        for name in ("ingest", "preprocess", "segment"):
+            shutil.copytree(pipeline_run[0] / name, out / name)
+        damaged = sorted(out.glob(pattern))[0]
+        corrupt(damaged)
+        capsys.readouterr()
+        argv = [stage, "--dataset-root", str(toy_corpus[0]), "--out", str(out)]
+        assert main([*argv, "--variant", "ds1", "--force"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(damaged) in err[0]
+
+
 class TestRecordFilters:
     def test_inferior_only_drops_other_sites(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -269,14 +269,47 @@ def _reference_backward(model, caches, probs, labels):
     return grads
 
 
+def _reference_adam(model, grads, lr=0.001):
+    """The textbook Adam update, out of place: one fresh array per
+    operation."""
+    state = model.adam
+    state.step += 1
+    bc1 = 1.0 - cnn.ADAM_BETA1**state.step
+    bc2 = 1.0 - cnn.ADAM_BETA2**state.step
+    for i, g in enumerate(grads):
+        g = g.astype(model.dtype, copy=False)
+        state.m[i] = cnn.ADAM_BETA1 * state.m[i] + (1.0 - cnn.ADAM_BETA1) * g
+        state.v[i] = cnn.ADAM_BETA2 * state.v[i] + (1.0 - cnn.ADAM_BETA2) * (g * g)
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        model.params[i] = model.params[i] - (
+            lr * m_hat / (np.sqrt(v_hat) + cnn.ADAM_EPS)
+        ).astype(model.dtype)
+
+
+# The bias gradient of the one-channel conv sums a single column. No conv
+# sits above it: that conv's per-offset input-gradient GEMMs would have one
+# output column, which OpenBLAS rounds differently in float64 from the
+# reference's single GEMM.
+ONE_CHANNEL_LAYERS = (
+    Conv(2, 3, "same"),
+    Pool(),
+    Conv(1, 2, "valid"),
+    Pool(),
+    Dense(4, "relu"),
+    Dense(2, "sigmoid"),
+)
+
+
 def _same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestKernelOracle:
-    """The strided-slice pooling, fmax ReLU and per-offset conv backward
-    reproduce the argmax/put_along_axis/col2im kernels bit for bit."""
+    """The strided-slice pooling, fmax ReLU, per-offset conv backward,
+    einsum bias gradients and in-place Adam reproduce the argmax,
+    put_along_axis, col2im, sum and out-of-place kernels bit for bit."""
 
     def _train_both(self, model, images, labels, steps=3):
         ref = copy.deepcopy(model)
@@ -292,7 +325,7 @@ class TestKernelOracle:
             ref_grads = _reference_backward(ref, ref_caches, ref_probs, labels)
             assert all(_same_bytes(g, r) for g, r in zip(grads, ref_grads))
             adam_step(model, grads)
-            adam_step(ref, ref_grads)
+            _reference_adam(ref, ref_grads)
         for group, ref_group in (
             (model.params, ref.params),
             (model.adam.m, ref.adam.m),
@@ -320,6 +353,15 @@ class TestKernelOracle:
         self._train_both(_small_model(seed=3), images, np.array([0, 1, 1, 0]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_channel_convs(self, rng, dtype):
+        images = rng.integers(0, 256, size=(6, 32, 32), dtype=np.uint8)
+        images[:3, :12] = 0
+        model = model_init(
+            seed=4, layers=ONE_CHANNEL_LAYERS, input_shape=(32, 32), dtype=dtype
+        )
+        self._train_both(model, images, np.array([0, 1, 1, 0, 1, 0]), steps=4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_matches_mask_form_on_special_values(self, dtype):
         tiny = np.finfo(dtype).smallest_subnormal
         special = [np.nan, -0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.0]
@@ -329,6 +371,25 @@ class TestKernelOracle:
                 z = np.resize(np.roll(np.asarray(special, dtype=dtype), offset), n)
                 expected = np.where(z > 0, z, np.asarray(0.0, dtype=dtype))
                 assert _same_bytes(cnn._relu(z.copy()), expected), (n, offset)
+
+
+class TestColumnSums:
+    """The conv bias gradient equals ``a.sum(axis=0)`` byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 16, 32, 128])
+    def test_matches_sum_on_fuzzed_arrays(self, rng, dtype, columns):
+        sizes = (1, 2, 7, 8, 9, 127, 128, 129, 1000, 8197, 131072, 140001)
+        for n in (n for n in sizes if n * columns <= 2_300_000):
+            scale = 10.0 ** rng.uniform(-30.0, 30.0, size=(n, 1))
+            a = (rng.standard_normal((n, columns)) * scale).astype(dtype)
+            a[rng.random(a.shape) < 0.3] = 0.0
+            a[rng.random(a.shape) < 0.2] = -0.0
+            for signed_zero_column in (None, 0.0, -0.0):
+                if signed_zero_column is not None:
+                    a[:, 0] = signed_zero_column
+                got, expected = cnn._column_sums(a), a.sum(axis=0)
+                assert _same_bytes(got, expected), (n, signed_zero_column)
 
 
 class TestLoss:
@@ -418,6 +479,14 @@ class TestAdam:
         returned = adam_step(model, [np.ones((1, 1)), np.ones(1)])
         assert returned is model
 
+    def test_state_arrays_keep_their_identity(self, rng):
+        model = _small_model(seed=2)
+        tensors = [*model.params, *model.adam.m, *model.adam.v]
+        grads = [rng.standard_normal(p.shape) for p in model.params]
+        adam_step(model, grads)
+        after = [*model.params, *model.adam.m, *model.adam.v]
+        assert all(a is b for a, b in zip(tensors, after))
+
     def test_sign_symmetry(self):
         up = self._scalar_model()
         down = self._scalar_model()
@@ -481,6 +550,22 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             forward(model, images)[0], forward(restored, images)[0]
         )
+
+    def test_restored_model_takes_the_same_adam_steps(self, rng, tmp_path):
+        model = _trained_small(rng)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        restored = load_checkpoint(path)
+        for _ in range(2):
+            grads = [rng.standard_normal(p.shape) for p in model.params]
+            adam_step(model, grads)
+            adam_step(restored, grads)
+        for group, restored_group in (
+            (model.params, restored.params),
+            (model.adam.m, restored.adam.m),
+            (model.adam.v, restored.adam.v),
+        ):
+            assert all(_same_bytes(a, b) for a, b in zip(group, restored_group))
 
     def test_float32_round_trip(self, tmp_path):
         model = model_init(

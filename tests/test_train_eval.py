@@ -1,10 +1,12 @@
 """Fold planning, metric, and training-loop tests."""
+import copy
 import csv
 import shutil
 
 import numpy as np
 import pytest
 
+from gafecg import train_eval
 from gafecg.cnn import load_checkpoint, reduced_layers
 from gafecg.errors import BuildError, InvalidFoldCount, UndefinedMetric
 from gafecg.gaf_encode import encode_beats, write_images
@@ -288,6 +290,36 @@ class TestTrainFold:
             model, variant.images[test_idx], variant.labels[test_idx], HYPER.batch_size
         )
         assert scored == (result.counts, result.metrics)
+
+    def test_checkpoint_holds_the_best_epoch_state(
+        self, variant, tmp_path, monkeypatch
+    ):
+        # Epoch 1 has the lowest validation loss; epochs 2 and 3 still update
+        # the parameters and moments in place before the checkpoint is saved.
+        seen = []
+
+        def fake_eval_split(model, images, labels, batch):
+            seen.append(copy.deepcopy(model))
+            return (0.5 if len(seen) == 1 else 1.0), 0.5
+
+        monkeypatch.setattr(train_eval, "_eval_split", fake_eval_split)
+        plan = make_folds(variant, k=3, seed=1)
+        hyper = Hyperparams(learning_rate=0.003, batch_size=8, max_epochs=3, patience=3)
+        result = train_fold(
+            variant, plan, 0, hyper=hyper, seed=1, out_dir=tmp_path,
+            layers=reduced_layers(),
+        )
+        assert result.epochs_run == 3
+        best, last = seen[0], seen[-1]
+        assert last.adam.step > best.adam.step
+        saved = load_checkpoint(result.checkpoint_path)
+        assert saved.adam.step == best.adam.step
+        for group, best_group in (
+            (saved.params, best.params),
+            (saved.adam.m, best.adam.m),
+            (saved.adam.v, best.adam.v),
+        ):
+            assert [t.tobytes() for t in group] == [t.tobytes() for t in best_group]
 
     def test_deterministic_re_run(self, trained):
         variant, plan, result = trained
