@@ -101,8 +101,12 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _read_table(path: Path, fields: tuple[str, ...], producer: str) -> list[dict]:
-    """Rows of a stage's CSV table, checked to have every one of ``fields``."""
+def _read_table(
+    path: Path, fields: tuple[str, ...], producer: str, parse: dict | None = None
+) -> list[dict]:
+    """Rows of a stage's CSV table, checked to have every one of ``fields``
+    and as many cells as the header. ``parse`` maps a column to the function
+    that converts its cells; a ValueError there names the file and line."""
     with open(_require(path, producer), newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [f for f in fields if f not in (reader.fieldnames or ())]
@@ -110,7 +114,30 @@ def _read_table(path: Path, fields: tuple[str, ...], producer: str) -> list[dict
             raise PipelineError(
                 f"{path} has no {', '.join(missing)}; re-run {producer}"
             )
-        return list(reader)
+        rows = []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row or None in row.values():
+                raise PipelineError(
+                    f"{where}: expected {len(reader.fieldnames)} cells; re-run {producer}"
+                )
+            for column, convert in (parse or {}).items():
+                try:
+                    row[column] = convert(row[column])
+                except ValueError:
+                    raise PipelineError(
+                        f"{where}: bad {column} {row[column]!r}; re-run {producer}"
+                    ) from None
+            rows.append(row)
+        return rows
+
+
+def _read_results(results_csv: Path) -> list[train_eval.FoldResult]:
+    """Train's per-fold results, checked to hold folds 0..FOLDS-1 in order."""
+    results = train_eval.read_results_csv(results_csv)
+    if [r.fold for r in results] != list(range(FOLDS)):
+        raise PipelineError(f"{results_csv}: expected folds 0..{FOLDS - 1} in order")
+    return results
 
 
 def _load_array(path: Path) -> np.ndarray:
@@ -220,6 +247,7 @@ def stage_segment(cfg: PipelineConfig) -> None:
         pre_dir / "signals.csv",
         ("record_id", "label", "noise_variant", "path", "sampling_rate"),
         "preprocess",
+        parse={"label": Label, "sampling_rate": float},
     )
     out.mkdir(parents=True, exist_ok=True)
     report = ["record_id\tnoise\tbeats\tskipped_bounds\tskipped_degenerate"]
@@ -235,10 +263,10 @@ def stage_segment(cfg: PipelineConfig) -> None:
             samples = _load_array(pre_dir / row["path"])
             record = EcgRecord(
                 subject_id=row["record_id"],
-                label=Label(row["label"]),
+                label=row["label"],
                 lead_name=LEAD,
                 samples=samples,
-                sampling_rate=float(row["sampling_rate"]),
+                sampling_rate=row["sampling_rate"],
             )
             peaks = pan_tompkins(record)
             seg = segment_beats(record, peaks)
@@ -294,7 +322,10 @@ def stage_encode(cfg: PipelineConfig) -> None:
             print(f"[encode:{variant_id}] up to date, skipping")
             continue
         beats_csv = seg_dir / f"beats_{noise_variant}.csv"
-        meta = _read_table(beats_csv, ("record_id", "label", "r_peak_index"), "segment")
+        meta = _read_table(
+            beats_csv, ("record_id", "label", "r_peak_index"), "segment",
+            parse={"r_peak_index": int},
+        )
         beats_npy = _require(seg_dir / f"beats_{noise_variant}.npy", "segment")
         samples = _load_array(beats_npy)
         if len(meta) != len(samples):
@@ -306,7 +337,7 @@ def stage_encode(cfg: PipelineConfig) -> None:
             Beat(
                 samples=samples[i].astype(np.float64),
                 source_record=meta[i]["record_id"],
-                r_peak_index=int(meta[i]["r_peak_index"]),
+                r_peak_index=meta[i]["r_peak_index"],
                 label=meta[i]["label"],
             )
             for i in range(len(meta))
@@ -350,11 +381,9 @@ def stage_eval(cfg: PipelineConfig) -> None:
         results_csv = _require(train_dir / "results.csv", "train")
         encode_dir = Path(cfg.output_root) / "encode" / variant_id
         _require(encode_dir / "manifest.csv", "encode")
-        trained = train_eval.read_results_csv(results_csv)
+        trained = _read_results(results_csv)
         variant = train_eval.load_variant(encode_dir, variant_id)
         plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
-        if [r.fold for r in trained] != list(range(plan.k)):
-            raise PipelineError(f"{results_csv}: expected folds 0..{plan.k - 1} in order")
         rescored = []
         for result in trained:
             checkpoint = _require(
@@ -397,7 +426,7 @@ def stage_report(cfg: PipelineConfig) -> None:
         results_csv = _require(
             Path(cfg.output_root) / "train" / variant_id / "results.csv", "train"
         )
-        stats = train_eval.summarize(train_eval.read_results_csv(results_csv))
+        stats = train_eval.summarize(_read_results(results_csv))
         rows.append([variant_id, *(f"{v:.4f}" for pair in stats.values() for v in pair)])
         lines.append(
             f"{variant_id:>7} "

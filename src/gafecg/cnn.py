@@ -6,14 +6,22 @@ a 2-unit sigmoid head. Forward and backward passes are written out
 explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
 
 - Convolutions are im2col GEMMs; the bias is added to the GEMM output in
-  place. The backward pass multiplies the ReLU mask into the incoming
-  gradient in place and accumulates one GEMM per kernel offset into the
-  padded input gradient. A conv layer holding the first parameters
-  computes no input gradient: no parameter below uses it.
+  place. A one-channel input (the image) is lowered with one strided copy
+  per kernel offset, a wider one with a sliding-window gather. The
+  backward pass multiplies the ReLU mask into the incoming gradient in
+  place and accumulates one GEMM per kernel offset into the padded input
+  gradient. A conv layer holding the first parameters computes no input
+  gradient: no parameter below uses it.
 - Max pooling takes the elementwise maximum of the size**2 strided slices
   of its non-overlapping windows. With caches kept it also records the
   first slice, in row-major window order, that holds the maximum, so the
   gradient of a tie goes to the first tied cell, as with ``np.argmax``.
+- A pool right above a conv is fused with the conv's ReLU: it pools the
+  biased conv output with ``np.fmax`` and applies ReLU, and keeps its
+  mask, at pooled size. ReLU is monotone, so the values, the winners (a
+  window with no positive cell routes to its first cell) and the
+  gradients are those of ReLU-then-pool; the backward pass applies the
+  mask to the pooled gradient before routing it.
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 - Adam updates the moments and parameters in place, in the operation order
   of the textbook formula, so the bytes equal an out-of-place update.
@@ -235,6 +243,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     # x: (B, H, W, C) -> (B, H-k+1, W-k+1, k, k, C)
+    bsz, h, w, c = x.shape
+    if c == 1:
+        # Rows of k*k floats: one strided copy per kernel offset beats the
+        # window gather. With more channels the gather is faster.
+        ho, wo = h - kernel + 1, w - kernel + 1
+        cols = np.empty((bsz, ho, wo, kernel, kernel, 1), dtype=x.dtype)
+        for i, j in np.ndindex(kernel, kernel):
+            cols[:, :, :, i, j] = x[:, i : i + ho, j : j + wo]
+        return cols
     windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
     return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
 
@@ -266,7 +283,9 @@ def _pad_same(x: np.ndarray, kernel: int) -> tuple[np.ndarray, tuple[int, int]]:
     total = kernel - 1
     top = total // 2
     bottom = total - top
-    xp = np.pad(x, ((0, 0), (top, bottom), (top, bottom), (0, 0)))
+    bsz, h, w, c = x.shape
+    xp = np.zeros((bsz, h + total, w + total, c), dtype=x.dtype)
+    xp[:, top : top + h, top : top + w] = x
     return xp, (top, bottom)
 
 
@@ -293,7 +312,8 @@ def forward(
     a = x[..., None]  # channels-last
     caches: list = []
     p = 0
-    for layer in model.layers:
+    layers = model.layers
+    for n, layer in enumerate(layers):
         if isinstance(layer, Conv):
             weight, bias = model.params[p], model.params[p + 1]
             p += 2
@@ -306,14 +326,24 @@ def forward(
             flat = cols.reshape(bsz * ho * wo, -1)
             z = flat @ weight.reshape(-1, weight.shape[-1])
             z += bias
-            a = _relu(z.reshape(bsz, ho, wo, weight.shape[-1]))
+            a = z.reshape(bsz, ho, wo, weight.shape[-1])
+            # A pool right above takes the ReLU, and its mask, at pooled size.
+            fused = n + 1 < len(layers) and isinstance(layers[n + 1], Pool)
+            if not fused:
+                a = _relu(a)
             if with_caches:
-                caches.append(("conv", layer, flat, xp.shape, pad, a > 0))
+                mask = None if fused else a > 0
+                caches.append(("conv", layer, flat, xp.shape, pad, mask, a.shape))
         elif isinstance(layer, Pool):
+            # Above a conv the cells hold y = conv + bias, before ReLU. ReLU
+            # is monotone, so relu(max(y)) equals max(relu(y)) with the same
+            # winner; fmax skips a NaN cell as ReLU-first pooling does.
+            fused = n > 0 and isinstance(layers[n - 1], Conv)
+            combine = np.fmax if fused else np.maximum
             cells = _pool_cells(a, layer.size)
             pooled = cells[0].copy()
             for cell in cells[1:]:
-                np.maximum(pooled, cell, out=pooled)
+                combine(pooled, cell, out=pooled)
             if with_caches:
                 # arg counts the cells before the first one holding the max.
                 arg = np.zeros(pooled.shape, dtype=np.uint8)
@@ -321,8 +351,14 @@ def forward(
                 for cell in cells[:-1]:
                     before &= cell != pooled
                     arg += before
-                caches.append(("pool", layer, arg, a.shape))
-            a = pooled
+                alive = None
+                if fused:
+                    # A window whose max is not positive is all zero after
+                    # ReLU, and a tie of zeros goes to the first cell.
+                    alive = pooled > 0
+                    arg *= alive
+                caches.append(("pool", layer, arg, a.shape, alive))
+            a = _relu(pooled) if fused else pooled
         elif isinstance(layer, Dense):
             if a.ndim == 4:
                 spatial = a.shape
@@ -412,21 +448,28 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             spatial, _ = rest
             delta = delta.reshape(spatial)
         elif kind == "pool":
-            arg, in_shape = rest
+            arg, in_shape, alive = rest
+            if alive is not None:
+                # The ReLU mask of the conv below, taken at its winners.
+                np.multiply(delta, alive, out=delta)
             # Route on the integer view of delta: a product with 0 or 1 is
             # exact there, and a cell that did not win gets +0, never -0.
             bits = delta.view(f"i{delta.itemsize}")
-            dx = np.zeros(in_shape, dtype=bits.dtype)
+            dx = np.empty(in_shape, dtype=bits.dtype)
+            hc, wc = arg.shape[1] * layer.size, arg.shape[2] * layer.size
+            dx[:, hc:] = 0  # rows and columns no window covers
+            dx[:, :hc, wc:] = 0
             for k, cell in enumerate(_pool_cells(dx, layer.size)):
                 np.multiply(bits, arg == k, out=cell)
             delta = dx.view(delta.dtype)
         elif kind == "conv":
-            flat, xp_shape, pad, mask = rest
+            flat, xp_shape, pad, mask, _ = rest
             p -= 2
             weight = model.params[p]
-            # delta is an array backward made (the pool's dx, a dxp slice or
-            # the dense gradient reshaped), never a cache or a parameter.
-            np.multiply(delta, mask, out=delta)
+            if mask is not None:  # None: the pool above applied it
+                # delta is an array backward made (a dxp slice or the dense
+                # gradient reshaped), never a cache or a parameter.
+                np.multiply(delta, mask, out=delta)
             bsz, ho, wo, cout = delta.shape
             dflat = delta.reshape(bsz * ho * wo, cout)
             dw = flat.T @ dflat
@@ -530,20 +573,15 @@ def save_checkpoint(model: CnnModel, path: str | Path) -> None:
     """Write magic, version, architecture, seed, Adam step, then raw
     little-endian parameter and moment tensors in declaration order."""
     desc = _describe_arch(model).encode()
-    digest = hashlib.sha256(desc).digest()
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<B", model.dtype.itemsize)
-    out += struct.pack("<I", len(desc))
-    out += desc
-    out += digest
-    out += struct.pack("<q", model.seed)
-    out += struct.pack("<q", model.adam.step)
     le = np.dtype(model.dtype).newbyteorder("<")
-    for tensor in [*model.params, *model.adam.m, *model.adam.v]:
-        out += np.ascontiguousarray(tensor, dtype=le).tobytes()
-    Path(path).write_bytes(bytes(out))
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<IBI", CHECKPOINT_VERSION, model.dtype.itemsize, len(desc)))
+        fh.write(desc)
+        fh.write(hashlib.sha256(desc).digest())
+        fh.write(struct.pack("<qq", model.seed, model.adam.step))
+        for tensor in [*model.params, *model.adam.m, *model.adam.v]:
+            fh.write(np.ascontiguousarray(tensor, dtype=le).data)
 
 
 def load_checkpoint(

@@ -412,23 +412,26 @@ def read_results_csv(path: str | Path) -> list[FoldResult]:
             raise BuildError(
                 f"{path}: bad columns {reader.fieldnames}, expected {RESULTS_FIELDS}"
             )
-        rows = list(reader)
-    results = []
-    for row in rows:
-        try:
-            counts = ConfusionCounts(*(int(row[k]) for k in ("tp", "tn", "fp", "fn")))
-            fold, epochs_run = int(row["fold"]), int(row["epochs_run"])
-        except ValueError as exc:
-            raise BuildError(f"{path}: {exc}") from exc
-        results.append(
-            FoldResult(
-                fold=fold,
-                variant_id=row["variant"],
-                counts=counts,
-                metrics=compute_metrics(counts),
-                epochs_run=epochs_run,
+        results = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise BuildError(
+                    f"{path} line {reader.line_num}: expected {len(RESULTS_FIELDS)} cells"
+                )
+            try:
+                counts = ConfusionCounts(*(int(row[k]) for k in ("tp", "tn", "fp", "fn")))
+                fold, epochs_run = int(row["fold"]), int(row["epochs_run"])
+            except ValueError as exc:
+                raise BuildError(f"{path} line {reader.line_num}: {exc}") from exc
+            results.append(
+                FoldResult(
+                    fold=fold,
+                    variant_id=row["variant"],
+                    counts=counts,
+                    metrics=compute_metrics(counts),
+                    epochs_run=epochs_run,
+                )
             )
-        )
     return results
 
 

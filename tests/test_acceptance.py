@@ -375,7 +375,7 @@ class TestShapeConformance:
         for entry in caches[:-1]:
             kind = entry[0]
             if kind == "conv":
-                seen.append(entry[5].shape[1:])
+                seen.append(entry[6][1:])
             elif kind == "pool":
                 seen.append(entry[2].shape[1:])
             elif kind == "flatten":

@@ -262,6 +262,33 @@ def _truncate(path):
     path.write_bytes(data[: len(data) // 2])
 
 
+def _edit_first_row(edit):
+    """Damage the first data row of a CSV file: edit(header, cells) -> cells."""
+
+    def corrupt(path):
+        header, first, *rest = path.read_text().splitlines()
+        cells = edit(header.split(","), first.split(","))
+        path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+
+    return corrupt
+
+
+def _set_cell(column, value):
+    def edit(header, cells):
+        cells[header.index(column)] = value
+        return cells
+
+    return _edit_first_row(edit)
+
+
+def _keep_cells(n):
+    return _edit_first_row(lambda header, cells: cells[:n])
+
+
+def _keep_header(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
 # stage, the input it reads (a glob under the output root), how it is damaged
 UNREADABLE_INPUTS = {
     "records-without-record_id": (
@@ -275,6 +302,16 @@ UNREADABLE_INPUTS = {
     ),
     "truncated-signal-npy": ("segment", "preprocess/*__noisy.npy", _truncate),
     "truncated-beats-npy": ("encode", "segment/beats_noisy.npy", _truncate),
+    "signals-label-misspelled": (
+        "segment", "preprocess/signals.csv", _set_cell("label", "heathy")
+    ),
+    "signals-short-row": ("segment", "preprocess/signals.csv", _keep_cells(4)),
+    "beats-r_peak_index-not-integer": (
+        "encode", "segment/beats_noisy.csv", _set_cell("r_peak_index", "12.5")
+    ),
+    "results-short-row-eval": ("eval", "train/ds1/results.csv", _keep_cells(4)),
+    "results-short-row-report": ("report", "train/ds1/results.csv", _keep_cells(4)),
+    "results-without-folds": ("report", "train/ds1/results.csv", _keep_header),
 }
 
 
@@ -283,8 +320,9 @@ class TestUnreadableInputs:
     def test_one_error_line(self, pipeline_run, toy_corpus, tmp_path, capsys, case):
         stage, pattern, corrupt = UNREADABLE_INPUTS[case]
         out = tmp_path / "out"
-        for name in ("ingest", "preprocess", "segment"):
-            shutil.copytree(pipeline_run[0] / name, out / name)
+        shutil.copytree(
+            pipeline_run[0], out, ignore=shutil.ignore_patterns("*.ckpt", "*.png")
+        )
         damaged = sorted(out.glob(pattern))[0]
         corrupt(damaged)
         capsys.readouterr()

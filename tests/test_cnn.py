@@ -167,7 +167,7 @@ class TestPoolingTies:
             seed=0, layers=(Pool(), Dense(1, "sigmoid")), input_shape=(2, 2)
         )
         _, caches = forward(model, np.asarray(window, dtype=np.float64), True)
-        kind, _, arg, _ = caches[0]
+        kind, _, arg = caches[0][:3]
         assert kind == "pool"
         return int(arg[0, 0, 0, 0])
 
@@ -183,8 +183,9 @@ class TestPoolingTies:
 
 
 def _reference_forward(model, images):
-    """Forward pass with mask ReLU and argmax pooling, as before the
-    strided-slice kernels; returns probabilities and backward caches."""
+    """Forward pass with np.pad, a window-gather im2col, mask ReLU before
+    argmax pooling, as before the strided-slice and fused kernels; returns
+    probabilities and backward caches."""
     x = np.asarray(images)
     x = x[None] if x.ndim == 2 else x
     if x.dtype == np.uint8:
@@ -206,10 +207,11 @@ def _reference_forward(model, images):
         weight, bias = model.params[p], model.params[p + 1]
         p += 2
         if isinstance(layer, Conv):
-            xp, pad = (a, (0, 0))
-            if layer.padding == "same":
-                xp, pad = cnn._pad_same(a, layer.kernel)
-            cols = cnn._im2col(xp, layer.kernel)
+            k = layer.kernel
+            pad = ((k - 1) // 2, k // 2) if layer.padding == "same" else (0, 0)
+            xp = np.pad(a, ((0, 0), pad, pad, (0, 0)))
+            windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+            cols = windows.transpose(0, 1, 2, 4, 5, 3)
             flat = cols.reshape(-1, cols[0, 0, 0].size)
             z = flat @ weight.reshape(-1, weight.shape[-1]) + bias
             z = z.reshape(*cols.shape[:3], -1)
@@ -307,23 +309,30 @@ def _same_bytes(a, b):
 
 
 class TestKernelOracle:
-    """The strided-slice pooling, fmax ReLU, per-offset conv backward,
-    einsum bias gradients and in-place Adam reproduce the argmax,
-    put_along_axis, col2im, sum and out-of-place kernels bit for bit."""
+    """The offset-copy im2col, strided-slice pooling fused with the conv
+    ReLU, fmax ReLU, per-offset conv backward, einsum bias gradients and
+    in-place Adam reproduce the gather, mask-then-argmax, put_along_axis,
+    col2im, sum and out-of-place kernels bit for bit."""
+
+    def _compare_step(self, model, ref, images, labels):
+        """One forward and backward of both; returns both gradient lists."""
+        probs, caches = forward(model, images, with_caches=True)
+        ref_probs, ref_caches = _reference_forward(ref, images)
+        assert _same_bytes(probs, ref_probs)
+        pools = [c for c in caches if c[0] == "pool"]
+        ref_pools = [c for c in ref_caches if isinstance(c[0], Pool)]
+        assert len(pools) == len(ref_pools)
+        for pool, (_, ref_arg, _) in zip(pools, ref_pools):
+            np.testing.assert_array_equal(pool[2], ref_arg[:, :, :, 0])
+        grads = backward(model, caches, labels)
+        ref_grads = _reference_backward(ref, ref_caches, ref_probs, labels)
+        assert all(_same_bytes(g, r) for g, r in zip(grads, ref_grads))
+        return grads, ref_grads
 
     def _train_both(self, model, images, labels, steps=3):
         ref = copy.deepcopy(model)
         for _ in range(steps):
-            probs, caches = forward(model, images, with_caches=True)
-            ref_probs, ref_caches = _reference_forward(ref, images)
-            assert _same_bytes(probs, ref_probs)
-            pools = [c for c in caches if c[0] == "pool"]
-            ref_pools = [c for c in ref_caches if isinstance(c[0], Pool)]
-            for (_, _, arg, _), (_, ref_arg, _) in zip(pools, ref_pools):
-                np.testing.assert_array_equal(arg, ref_arg[:, :, :, 0])
-            grads = backward(model, caches, labels)
-            ref_grads = _reference_backward(ref, ref_caches, ref_probs, labels)
-            assert all(_same_bytes(g, r) for g, r in zip(grads, ref_grads))
+            grads, ref_grads = self._compare_step(model, ref, images, labels)
             adam_step(model, grads)
             _reference_adam(ref, ref_grads)
         for group, ref_group in (
@@ -360,6 +369,22 @@ class TestKernelOracle:
             seed=4, layers=ONE_CHANNEL_LAYERS, input_shape=(32, 32), dtype=dtype
         )
         self._train_both(model, images, np.array([0, 1, 1, 0, 1, 0]), steps=4)
+
+    # A fused pool that took np.maximum would let a NaN cell win its window.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("net", ["reduced-float64", "production"])
+    def test_non_finite_pixels(self, rng, net, special):
+        if net == "production":
+            model, shape = model_init(seed=5), (2, 128, 128)
+        else:
+            model, shape = _small_model(seed=5), (4, 16, 16)
+        images = rng.random(shape).astype(model.dtype)
+        images[rng.random(shape) < 0.02] = special
+        images[:, 4:6, 4:7] = special
+        labels = np.arange(shape[0]) % 2
+        # No Adam step: the gradients may be non-finite.
+        self._compare_step(model, copy.deepcopy(model), images, labels)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_matches_mask_form_on_special_values(self, dtype):

@@ -395,8 +395,9 @@ class TestRunAndReports:
         [
             ("fold,variant,tp,tn,fp,fn,acc,sen,spe", "0,ds1,3,4,0,1,87.50,75.00,100.00"),
             (",".join(RESULTS_FIELDS), "0,ds1,3,4,0,x,87.50,75.00,100.00,2"),
+            (",".join(RESULTS_FIELDS), "0,ds1,3,4"),
         ],
-        ids=["header", "count"],
+        ids=["header", "count", "short-row"],
     )
     def test_read_results_rejects_malformed_file(self, tmp_path, header, row):
         path = tmp_path / "results.csv"
