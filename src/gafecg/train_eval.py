@@ -168,7 +168,15 @@ def load_variant(encode_dir: str | Path, variant_id: str) -> DatasetVariant:
     for name, cls in LABEL_TO_CLASS.items():
         if not np.any(labels == cls):
             raise BuildError(f"variant {variant_id}: no {name!r} items")
-    images = np.stack([read_gray_png(encode_dir / it.path) for it in items])
+    images = [read_gray_png(encode_dir / it.path) for it in items]
+    for it, image in zip(items, images):
+        if image.shape != images[0].shape:
+            (h, w), (h0, w0) = image.shape, images[0].shape
+            raise BuildError(
+                f"{encode_dir / it.path}: image is {h}x{w}, "
+                f"but {encode_dir / items[0].path} is {h0}x{w0}"
+            )
+    images = np.stack(images)
     return DatasetVariant(
         variant_id=variant_id,
         noise_variant=noise_variant,

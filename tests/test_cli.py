@@ -4,8 +4,10 @@ import json
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from gafecg import cli
 from gafecg.cli import main
-from gafecg.png_io import read_gray_png
+from gafecg.png_io import PNG_SIGNATURE, read_gray_png, write_gray_png
 from gafecg.synthetic import synth_ecg
 from gafecg.train_eval import (
     ConfusionCounts,
@@ -289,6 +291,31 @@ def _keep_header(path):
     path.write_text(path.read_text().splitlines()[0] + "\n")
 
 
+def _write_png(path, ihdr, rows):
+    """Write a PNG with the given IHDR payload and inflated IDAT rows."""
+    chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(rows)), (b"IEND", b"")]
+    path.write_bytes(PNG_SIGNATURE + b"".join(
+        struct.pack(">I", len(payload)) + tag + payload
+        + struct.pack(">I", zlib.crc32(tag + payload))
+        for tag, payload in chunks
+    ))
+
+
+def _short_ihdr(path):
+    height, width = read_gray_png(path).shape
+    ihdr = struct.pack(">IIBBBB", width, height, 8, 0, 0, 0)  # 12 bytes
+    _write_png(path, ihdr, bytes(height * (width + 1)))
+
+
+def _zero_width(path):
+    height = read_gray_png(path).shape[0]
+    _write_png(path, struct.pack(">IIBBBBB", 0, height, 8, 0, 0, 0, 0), bytes(height))
+
+
+def _half_size(path):
+    write_gray_png(path, read_gray_png(path)[::2, ::2])
+
+
 # stage, the input it reads (a glob under the output root), how it is damaged
 UNREADABLE_INPUTS = {
     "records-without-record_id": (
@@ -312,6 +339,9 @@ UNREADABLE_INPUTS = {
     "results-short-row-eval": ("eval", "train/ds1/results.csv", _keep_cells(4)),
     "results-short-row-report": ("report", "train/ds1/results.csv", _keep_cells(4)),
     "results-without-folds": ("report", "train/ds1/results.csv", _keep_header),
+    "png-short-ihdr": ("train", "encode/ds1/*.png", _short_ihdr),
+    "png-zero-size": ("train", "encode/ds1/*.png", _zero_width),
+    "png-wrong-size": ("train", "encode/ds1/*.png", _half_size),
 }
 
 
@@ -320,9 +350,8 @@ class TestUnreadableInputs:
     def test_one_error_line(self, pipeline_run, toy_corpus, tmp_path, capsys, case):
         stage, pattern, corrupt = UNREADABLE_INPUTS[case]
         out = tmp_path / "out"
-        shutil.copytree(
-            pipeline_run[0], out, ignore=shutil.ignore_patterns("*.ckpt", "*.png")
-        )
+        skip = ["*.ckpt"] if pattern.endswith(".png") else ["*.ckpt", "*.png"]
+        shutil.copytree(pipeline_run[0], out, ignore=shutil.ignore_patterns(*skip))
         damaged = sorted(out.glob(pattern))[0]
         corrupt(damaged)
         capsys.readouterr()

@@ -102,6 +102,66 @@ class TestRoundTrip:
             write_gray_png(tmp_path / "bad.png", np.zeros(16, dtype=np.uint8))
 
 
+def _idat(data: bytes) -> bytes:
+    """The concatenated IDAT payloads of a PNG file."""
+    pos, idat = len(PNG_SIGNATURE), b""
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        if data[pos + 4 : pos + 8] == b"IDAT":
+            idat += data[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    return idat
+
+
+def _stored_block_lengths(stream: bytes) -> list:
+    """Walk a zlib stream that must hold only stored deflate blocks."""
+    pos, lengths = 2, []  # after the 2-byte zlib header
+    while True:
+        header = stream[pos]
+        assert (header >> 1) & 3 == 0, f"block type {(header >> 1) & 3} at {pos}"
+        length, nlength = struct.unpack("<HH", stream[pos + 1 : pos + 5])
+        assert length ^ nlength == 0xFFFF
+        lengths.append(length)
+        pos += 5 + length
+        if header & 1:  # BFINAL
+            break
+    assert pos + 4 == len(stream)  # Adler-32 follows the last block
+    return lengths
+
+
+class TestStoredWriter:
+    def test_file_length_is_stored_block_formula(self, rng, tmp_path):
+        pixels = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
+        path = tmp_path / "img.png"
+        write_gray_png(path, pixels)
+        data = path.read_bytes()
+        raw = 128 * (1 + 128)
+        assert _stored_block_lengths(_idat(data)) == [raw]
+        # signature, IHDR, IDAT (zlib header, block header, rows, Adler-32), IEND
+        assert len(data) == 8 + (12 + 13) + (12 + 2 + 5 + raw + 4) + 12 == 16580
+
+    def test_idat_rows_all_use_filter_0(self, rng, tmp_path):
+        pixels = rng.integers(0, 256, size=(9, 13), dtype=np.uint8)
+        path = tmp_path / "img.png"
+        write_gray_png(path, pixels)
+        rows = np.frombuffer(zlib.decompress(_idat(path.read_bytes())), np.uint8)
+        rows = rows.reshape(9, 14)
+        assert not rows[:, 0].any()
+        np.testing.assert_array_equal(rows[:, 1:], pixels)
+
+    def test_two_block_image_round_trips(self, rng, tmp_path):
+        pixels = rng.integers(0, 256, size=(300, 300), dtype=np.uint8)
+        path = tmp_path / "big.png"
+        write_gray_png(path, pixels)
+        lengths = _stored_block_lengths(_idat(path.read_bytes()))
+        assert len(lengths) == 2 and sum(lengths) == 300 * 301
+        np.testing.assert_array_equal(read_gray_png(path), pixels)
+
+    def test_rejects_empty(self, tmp_path):
+        with pytest.raises(ParseError, match="non-empty"):
+            write_gray_png(tmp_path / "bad.png", np.zeros((0, 4), dtype=np.uint8))
+
+
 class TestRowFilters:
     @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
     def test_single_filter_decodes(self, ftype, rng, tmp_path):
@@ -114,6 +174,22 @@ class TestRowFilters:
         pixels = rng.integers(0, 256, size=(20, 8), dtype=np.uint8)
         path = tmp_path / "mixed.png"
         path.write_bytes(_png_bytes(pixels, [0, 1, 2, 3, 4]))
+        np.testing.assert_array_equal(read_gray_png(path), pixels)
+
+    def test_filter_0_result_is_owned_and_writable(self, rng, tmp_path):
+        pixels = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
+        path = tmp_path / "f0.png"
+        write_gray_png(path, pixels)
+        image = read_gray_png(path)
+        assert image.base is None and image.flags.owndata
+        assert image.flags.writeable and image.flags.c_contiguous
+        image[0, 0] ^= 0xFF
+        np.testing.assert_array_equal(read_gray_png(path), pixels)
+
+    def test_filter_0_first_row_then_filters_1_to_4(self, rng, tmp_path):
+        pixels = rng.integers(0, 256, size=(9, 11), dtype=np.uint8)
+        path = tmp_path / "first0.png"
+        path.write_bytes(_png_bytes(pixels, [0, 1, 2, 3, 4, 1, 2, 3, 4]))
         np.testing.assert_array_equal(read_gray_png(path), pixels)
 
     def test_unknown_filter_rejected(self, rng, tmp_path):
@@ -190,6 +266,31 @@ class TestMalformedFiles:
         path = tmp_path / "noidat.png"
         path.write_bytes(PNG_SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b""))
         with pytest.raises(ParseError, match="IDAT"):
+            read_gray_png(path)
+
+    def test_short_ihdr_rejected(self, tmp_path):
+        ihdr = struct.pack(">IIBBBB", 4, 4, 8, 0, 0, 0)
+        path = tmp_path / "short_ihdr.png"
+        path.write_bytes(
+            PNG_SIGNATURE
+            + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(bytes(20)))
+            + _chunk(b"IEND", b"")
+        )
+        with pytest.raises(ParseError, match="IHDR is 12 bytes"):
+            read_gray_png(path)
+
+    @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_size_rejected(self, width, height, tmp_path):
+        ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+        path = tmp_path / "empty.png"
+        path.write_bytes(
+            PNG_SIGNATURE
+            + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(bytes(height)))
+            + _chunk(b"IEND", b"")
+        )
+        with pytest.raises(ParseError, match=f"{width}x{height} is empty"):
             read_gray_png(path)
 
     def test_rgb_rejected(self, tmp_path):
