@@ -4,8 +4,10 @@ Stages: ingest -> preprocess -> segment -> encode -> train -> eval ->
 report, plus "pipeline" to run them all. Each stage reads the previous
 stage's manifest, writes its own outputs plus the resolved configuration
 under the output root, and is skipped on re-runs when its outputs already
-exist for an identical configuration (override with --force). Eval fails
-unless the re-scored checkpoints reproduce train's ``results.csv``.
+exist for an identical configuration (override with --force). A stage
+removes its stored configuration before it writes and stores it again
+last. Eval fails unless the re-scored checkpoints reproduce train's
+``results.csv``.
 
 Exit status: 0 on success, 1 when a stage fails, 2 for usage errors.
 """
@@ -16,6 +18,7 @@ import csv
 import dataclasses
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import cnn, train_eval
 from .errors import PipelineError
-from .gaf_encode import encode_beats, write_images
+from .gaf_encode import encode_beats, write_images, write_manifest
 from .qrs_segment import Beat, pan_tompkins, segment_beats
 from .signal_prep import denoise
 from .train_eval import Hyperparams, VARIANTS
@@ -34,6 +37,9 @@ FOLDS = 10
 NOISE_VARIANTS = ("noisy", "clean")
 # Reference beat counts for a full-archive run, used in stage reports.
 REFERENCE_BEATS = {"healthy": 10139, "mi": 30128}
+# Beats per encode chunk: the main thread encodes a chunk while one writer
+# thread writes the chunk before it, so at most two chunks are held.
+ENCODE_CHUNK = 64
 
 STAGES = ("ingest", "preprocess", "segment", "encode", "train", "eval", "report")
 SUMMARY_FIELDS = [
@@ -77,6 +83,12 @@ def _write_config(cfg: PipelineConfig, directory: Path) -> None:
     (directory / "config.json").write_text(
         json.dumps(cfg.comparable(), indent=2, sort_keys=True) + "\n"
     )
+
+
+def _drop_key(directory: Path) -> None:
+    """Unlink a stage's ``config.json`` before the stage writes anything, so
+    a run that dies part-way never leaves the stage marked current."""
+    (directory / "config.json").unlink(missing_ok=True)
 
 
 def _stage_current(cfg: PipelineConfig, directory: Path, primary: Path) -> bool:
@@ -160,6 +172,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     if _stage_current(cfg, out, records_csv):
         print("[ingest] up to date, skipping")
         return
+    _drop_key(out)
     result = scan_dataset(cfg.dataset_root, lead_name=LEAD, inferior_only=cfg.inferior_only)
     out.mkdir(parents=True, exist_ok=True)
     with open(records_csv, "w", newline="") as fh:
@@ -200,6 +213,7 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
     if _stage_current(cfg, out, signals_csv):
         print("[preprocess] up to date, skipping")
         return
+    _drop_key(out)
     records = _read_records(cfg)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -242,6 +256,7 @@ def stage_segment(cfg: PipelineConfig) -> None:
     if _stage_current(cfg, out, done_marker):
         print("[segment] up to date, skipping")
         return
+    _drop_key(out)
     pre_dir = Path(cfg.output_root) / "preprocess"
     rows = _read_table(
         pre_dir / "signals.csv",
@@ -321,6 +336,7 @@ def stage_encode(cfg: PipelineConfig) -> None:
         if _stage_current(cfg, out, manifest):
             print(f"[encode:{variant_id}] up to date, skipping")
             continue
+        _drop_key(out)
         beats_csv = seg_dir / f"beats_{noise_variant}.csv"
         meta = _read_table(
             beats_csv, ("record_id", "label", "r_peak_index"), "segment",
@@ -333,19 +349,43 @@ def stage_encode(cfg: PipelineConfig) -> None:
                 f"{beats_csv} has {len(meta)} rows but {beats_npy} has "
                 f"{len(samples)} beats"
             )
-        beats = [
-            Beat(
-                samples=samples[i].astype(np.float64),
-                source_record=meta[i]["record_id"],
-                r_peak_index=meta[i]["r_peak_index"],
-                label=meta[i]["label"],
-            )
-            for i in range(len(meta))
-        ]
-        images = encode_beats(beats, kind)
-        write_images(images, out, noise_variant=noise_variant)
+        out.mkdir(parents=True, exist_ok=True)
+        rows = _encode_and_write(meta, samples, kind, out, noise_variant)
+        write_manifest(rows, out)
         _write_config(cfg, out)
-        print(f"[encode:{variant_id}] {len(images)} images ({noise_variant}, {kind})")
+        print(f"[encode:{variant_id}] {len(rows)} images ({noise_variant}, {kind})")
+
+
+def _encode_and_write(
+    meta: list[dict], samples: np.ndarray, kind: str, out: Path, noise_variant: str
+) -> list[dict]:
+    """Encode the beats ENCODE_CHUNK at a time on this thread while one writer
+    thread writes the previous chunk's PNGs; returns every image's manifest
+    row. A failure raised is the one encoding and writing chunk by chunk in
+    turn would meet first, and the writer has finished when this returns."""
+    rows: list[dict] = []
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        for start in range(0, len(meta), ENCODE_CHUNK):
+            try:
+                beats = [
+                    Beat(
+                        samples=samples[i].astype(np.float64),
+                        source_record=meta[i]["record_id"],
+                        r_peak_index=meta[i]["r_peak_index"],
+                        label=meta[i]["label"],
+                    )
+                    for i in range(start, min(start + ENCODE_CHUNK, len(meta)))
+                ]
+                images = encode_beats(beats, kind)
+            finally:
+                # The previous chunk's write comes first: its error wins.
+                if pending is not None:
+                    rows += pending.result()
+            pending = writer.submit(write_images, images, out, noise_variant=noise_variant)
+        if pending is not None:
+            rows += pending.result()
+    return rows
 
 
 def stage_train(cfg: PipelineConfig) -> None:
@@ -355,6 +395,7 @@ def stage_train(cfg: PipelineConfig) -> None:
         if _stage_current(cfg, out, results_csv):
             print(f"[train:{variant_id}] up to date, skipping")
             continue
+        _drop_key(out)
         encode_dir = Path(cfg.output_root) / "encode" / variant_id
         _require(encode_dir / "manifest.csv", "encode")
         variant = train_eval.load_variant(encode_dir, variant_id)
@@ -377,6 +418,7 @@ def stage_eval(cfg: PipelineConfig) -> None:
         if _stage_current(cfg, out, eval_csv):
             print(f"[eval:{variant_id}] up to date, skipping")
             continue
+        _drop_key(out)
         train_dir = Path(cfg.output_root) / "train" / variant_id
         results_csv = _require(train_dir / "results.csv", "train")
         encode_dir = Path(cfg.output_root) / "encode" / variant_id
@@ -417,6 +459,7 @@ def stage_report(cfg: PipelineConfig) -> None:
     if _stage_current(cfg, out, summary_csv):
         print("[report] up to date, skipping")
         return
+    _drop_key(out)
     rows = []
     lines = [f"seed: {cfg.seed}", f"split: {cfg.split}", ""]
     lines.append(

@@ -592,9 +592,21 @@ def load_checkpoint(
     """Inverse of save_checkpoint; bitwise-exact round trip.
 
     When an expected architecture is given, a checkpoint from any other
-    network is rejected with CheckpointError.
+    network is rejected with CheckpointError. Every CheckpointError names
+    the file.
     """
     data = Path(path).read_bytes()
+    try:
+        return _decode_checkpoint(data, expected_layers, expected_input_shape)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _decode_checkpoint(
+    data: bytes,
+    expected_layers: tuple[LayerSpec, ...] | None,
+    expected_input_shape: tuple[int, int] | None,
+) -> CnnModel:
     view = memoryview(data)
     pos = 0
 

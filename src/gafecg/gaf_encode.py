@@ -122,15 +122,14 @@ def encode_beats(beats, kind: str) -> list[GafImage]:
 MANIFEST_FIELDS = ["path", "label", "record_id", "r_peak_index", "kind", "noise_variant"]
 
 
-def write_images(images, out_dir: str | Path, noise_variant: str = "noisy") -> Path:
-    """Write PNGs plus a ``manifest.csv`` index; returns the manifest path.
+def write_images(images, out_dir: str | Path, noise_variant: str = "noisy") -> list[dict]:
+    """Write one PNG per image into ``out_dir``; returns their manifest rows,
+    in input order.
 
     ``noise_variant`` records whether the beats came from raw ("noisy") or
-    denoised ("clean") signals. Manifest rows are sorted by file name so
-    output is independent of encode order.
+    denoised ("clean") signals.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for image in images:
         write_gray_png(out_dir / image.file_name, image.pixels)
@@ -144,10 +143,18 @@ def write_images(images, out_dir: str | Path, noise_variant: str = "noisy") -> P
                 "noise_variant": noise_variant,
             }
         )
-    rows.sort(key=lambda r: r["path"])
-    manifest = out_dir / "manifest.csv"
+    return rows
+
+
+def write_manifest(rows, out_dir: str | Path) -> Path:
+    """Write ``manifest.csv`` indexing the PNGs in ``out_dir``; returns its path.
+
+    Rows are sorted by file name, so the manifest is independent of the
+    order the images were written in.
+    """
+    manifest = Path(out_dir) / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(sorted(rows, key=lambda r: r["path"]))
     return manifest

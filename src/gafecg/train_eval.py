@@ -138,12 +138,23 @@ def load_variant(encode_dir: str | Path, variant_id: str) -> DatasetVariant:
                 f"{manifest}: bad columns {reader.fieldnames}, expected {MANIFEST_FIELDS}"
             )
         for row in reader:
+            where = f"{manifest} line {reader.line_num}"
+            if None in row or None in row.values():
+                raise BuildError(
+                    f"{where}: expected {len(MANIFEST_FIELDS)} cells; re-run encode"
+                )
+            try:
+                r_peak_index = int(row["r_peak_index"])
+            except ValueError:
+                raise BuildError(
+                    f"{where}: bad r_peak_index {row['r_peak_index']!r}; re-run encode"
+                ) from None
             items.append(
                 DatasetItem(
                     path=row["path"],
                     label=row["label"],
                     record_id=row["record_id"],
-                    r_peak_index=int(row["r_peak_index"]),
+                    r_peak_index=r_peak_index,
                     kind=row["kind"],
                     noise_variant=row["noise_variant"],
                 )
@@ -163,7 +174,7 @@ def load_variant(encode_dir: str | Path, variant_id: str) -> DatasetVariant:
         )
     bad_labels = sorted({it.label for it in items} - set(LABEL_TO_CLASS))
     if bad_labels:
-        raise BuildError(f"unknown labels in manifest: {bad_labels}")
+        raise BuildError(f"{manifest}: unknown labels {bad_labels}")
     labels = np.array([LABEL_TO_CLASS[it.label] for it in items], dtype=np.int64)
     for name, cls in LABEL_TO_CLASS.items():
         if not np.any(labels == cls):

@@ -7,15 +7,19 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gafecg import cli
+from gafecg import cli, gaf_encode, train_eval
 from gafecg.cli import main
+from gafecg.errors import PipelineError
+from gafecg.gaf_encode import MANIFEST_FIELDS, encode_beat
 from gafecg.png_io import PNG_SIGNATURE, read_gray_png, write_gray_png
+from gafecg.qrs_segment import Beat
 from gafecg.synthetic import synth_ecg
 from gafecg.train_eval import (
     ConfusionCounts,
@@ -342,6 +346,11 @@ UNREADABLE_INPUTS = {
     "png-short-ihdr": ("train", "encode/ds1/*.png", _short_ihdr),
     "png-zero-size": ("train", "encode/ds1/*.png", _zero_width),
     "png-wrong-size": ("train", "encode/ds1/*.png", _half_size),
+    "manifest-r_peak_index-not-integer": (
+        "train", "encode/ds1/manifest.csv", _set_cell("r_peak_index", "12.5")
+    ),
+    "manifest-short-row": ("train", "encode/ds1/manifest.csv", _keep_cells(4)),
+    "truncated-checkpoint-eval": ("eval", "train/ds1/*.ckpt", _truncate),
 }
 
 
@@ -350,7 +359,10 @@ class TestUnreadableInputs:
     def test_one_error_line(self, pipeline_run, toy_corpus, tmp_path, capsys, case):
         stage, pattern, corrupt = UNREADABLE_INPUTS[case]
         out = tmp_path / "out"
-        skip = ["*.ckpt"] if pattern.endswith(".png") else ["*.ckpt", "*.png"]
+        # PNGs and checkpoints are copied only for the cases that damage them.
+        skip = {".png": ["*.ckpt"], ".ckpt": []}.get(
+            Path(pattern).suffix, ["*.ckpt", "*.png"]
+        )
         shutil.copytree(pipeline_run[0], out, ignore=shutil.ignore_patterns(*skip))
         damaged = sorted(out.glob(pattern))[0]
         corrupt(damaged)
@@ -360,6 +372,182 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert str(damaged) in err[0]
+
+
+def _segment_only(pipeline_out, out, n_beats=None):
+    """An output root holding only ``pipeline_out``'s segment stage, cut to
+    its first ``n_beats`` beats per noise variant when given."""
+    shutil.copytree(pipeline_out / "segment", out / "segment")
+    for noise in cli.NOISE_VARIANTS if n_beats is not None else ():
+        npy = out / "segment" / f"beats_{noise}.npy"
+        table = out / "segment" / f"beats_{noise}.csv"
+        lines = table.read_text().splitlines()[: n_beats + 1]
+        assert len(lines) == n_beats + 1
+        np.save(npy, np.load(npy)[:n_beats])
+        table.write_text("\n".join(lines) + "\n")
+    return out
+
+
+def _fail_on_image(monkeypatch, n):
+    """Make the ``n``-th PNG written raise OSError."""
+    calls = []
+    real = gaf_encode.write_gray_png
+
+    def write(path, pixels):
+        calls.append(path)
+        if len(calls) == n:
+            raise OSError(f"disk full writing {path.name}")
+        real(path, pixels)
+
+    monkeypatch.setattr(gaf_encode, "write_gray_png", write)
+
+
+class TestChunkedEncode:
+    @pytest.mark.parametrize("n_beats", [63, 64, 65, 129])
+    def test_same_bytes_as_per_image_writes(self, pipeline_run, tmp_path, capsys, n_beats):
+        out = _segment_only(pipeline_run[0], tmp_path / "out", n_beats)
+        assert cli.ENCODE_CHUNK == 64
+        assert main(["encode", "--out", str(out), "--variant", "all"]) == 0
+        for variant, (noise, kind) in train_eval.VARIANTS.items():
+            samples = np.load(out / "segment" / f"beats_{noise}.npy")
+            meta = _read_csv(out / "segment" / f"beats_{noise}.csv")
+            expected = tmp_path / "expected" / variant
+            expected.mkdir(parents=True)
+            rows = []
+            for row, beat in zip(meta, samples):
+                image = encode_beat(
+                    Beat(beat.astype(np.float64), row["record_id"],
+                         int(row["r_peak_index"]), row["label"]),
+                    kind,
+                )
+                write_gray_png(expected / image.file_name, image.pixels)
+                rows.append([image.file_name, row["label"], row["record_id"],
+                             row["r_peak_index"], kind, noise])
+            with open(expected / "manifest.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(MANIFEST_FIELDS)
+                writer.writerows(sorted(rows))
+            written = out / "encode" / variant
+            names = sorted(p.name for p in written.iterdir() if p.name != "config.json")
+            assert names == sorted(p.name for p in expected.iterdir())
+            assert len(names) == n_beats + 1
+            for name in names:
+                assert (written / name).read_bytes() == (expected / name).read_bytes(), name
+
+    @pytest.mark.parametrize("encode_fails", [False, True])
+    def test_writer_failure_is_one_error_line(
+        self, pipeline_run, tmp_path, capsys, monkeypatch, encode_fails
+    ):
+        out = _segment_only(pipeline_run[0], tmp_path / "out")
+        _fail_on_image(monkeypatch, 70)  # in the second chunk
+        if encode_fails:
+            # Encoding the third chunk fails too, while the second is being
+            # written; the write came first, so its error is the one reported.
+            real, calls = cli.encode_beats, []
+
+            def encode(beats, kind):
+                calls.append(len(beats))
+                if len(calls) == 3:
+                    raise PipelineError("encode failed in chunk 2")
+                return real(beats, kind)
+
+            monkeypatch.setattr(cli, "encode_beats", encode)
+        threads = threading.active_count()
+        assert main(["encode", "--out", str(out), "--variant", "ds1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: disk full writing"), err
+        assert not (out / "encode" / "ds1" / "manifest.csv").exists()
+        assert not (out / "encode" / "ds1" / "config.json").exists()
+        assert threading.active_count() == threads
+
+
+class TestAbortedRerun:
+    """A re-run with changed settings that dies part-way leaves the stage
+    unmarked, so going back to the old settings runs it again."""
+
+    def test_encode(self, pipeline_run, tmp_path, capsys, monkeypatch):
+        out = _segment_only(pipeline_run[0], tmp_path / "out")
+        argv = ["encode", "--out", str(out), "--variant", "ds1", "--seed", "3"]
+        assert main(argv) == 0
+        with monkeypatch.context() as patch:
+            _fail_on_image(patch, 70)
+            assert main([*argv[:-1], "4"]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "up to date" not in capsys.readouterr().out
+
+    def test_train(self, pipeline_run, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run[0], out)
+        for config in out.glob("**/config.json"):  # the copy is the output root now
+            stored = json.loads(config.read_text())
+            config.write_text(json.dumps({**stored, "output_root": str(out)}))
+        argv = ["train", *pipeline_run[1][1:]]
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 0
+        assert "[train:ds1] up to date, skipping" in capsys.readouterr().out
+        real = train_eval.train_fold
+
+        def die_in_fold(k, message):
+            def train_fold(variant, plan, fold, **kwargs):
+                if fold == k:
+                    raise PipelineError(message)
+                return real(variant, plan, fold, **kwargs)
+
+            return train_fold
+
+        monkeypatch.setattr(train_eval, "train_fold", die_in_fold(1, "killed in fold 1"))
+        assert main([*argv, "--lr", "0.002"]) == 1
+        monkeypatch.setattr(train_eval, "train_fold", die_in_fold(0, "train re-ran"))
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "up to date" not in captured.out
+        assert captured.err == "error: train re-ran\n"
+
+
+class TestPerfbenchContract:
+    """perfbench wraps package functions by name from outside; these pin the
+    names and the call shapes it relies on."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        return workloads
+
+    def test_every_boundary_exists(self, workloads):
+        for name, workload in workloads.WORKLOADS.items():
+            for module, attr, _ in workload.boundaries:
+                assert callable(getattr(module, attr, None)), (name, module.__name__, attr)
+
+    def test_encode_calls_are_sized(
+        self, workloads, pipeline_run, tmp_path, capsys, monkeypatch
+    ):
+        out = _segment_only(pipeline_run[0], tmp_path / "out")
+        items: dict[str, list[int]] = {}
+        for module, attr, classify in workloads.Frontend.boundaries:
+            if module is cli and attr in ("encode_beats", "write_images"):
+                real = getattr(cli, attr)
+
+                def traced(*args, _real=real, _classify=classify, **kwargs):
+                    name, n = _classify(*args, **kwargs)
+                    items.setdefault(name, []).append(n)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(cli, attr, traced)
+        assert main(["encode", "--out", str(out), "--variant", "all"]) == 0
+        beats = sum(
+            len(np.load(out / "segment" / f"beats_{noise}.npy"))
+            for noise, _ in train_eval.VARIANTS.values()
+        )
+        assert set(items) == {"gaf_encode.encode", "gaf_encode.write"}
+        for name, sizes in items.items():
+            assert sum(sizes) == beats, name
+            assert max(sizes) <= cli.ENCODE_CHUNK, name
 
 
 class TestRecordFilters:

@@ -22,6 +22,7 @@ from gafecg.gaf_encode import (
     quantize,
     to_polar,
     write_images,
+    write_manifest,
 )
 from gafecg.png_io import read_gray_png
 from gafecg.qrs_segment import Beat
@@ -259,7 +260,10 @@ class TestWriteImages:
 
     def test_manifest_and_pixels(self, rng, tmp_path):
         images = encode_beats(_beats(rng, 6), "gasf")
-        manifest = write_images(images, tmp_path / "enc", noise_variant="clean")
+        (tmp_path / "enc").mkdir()
+        rows = write_images(images, tmp_path / "enc", noise_variant="clean")
+        assert [r["path"] for r in rows] == [i.file_name for i in images]
+        manifest = write_manifest(rows[::-1], tmp_path / "enc")
         with open(manifest, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6

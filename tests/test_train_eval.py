@@ -9,7 +9,7 @@ import pytest
 from gafecg import train_eval
 from gafecg.cnn import load_checkpoint, reduced_layers
 from gafecg.errors import BuildError, InvalidFoldCount, UndefinedMetric
-from gafecg.gaf_encode import encode_beats, write_images
+from gafecg.gaf_encode import encode_beats, write_images, write_manifest
 from gafecg.qrs_segment import RPeakList, segment_beats
 from gafecg.synthetic import synth_ecg
 from gafecg.train_eval import (
@@ -54,7 +54,8 @@ def encode_dir(tmp_path_factory):
         result = segment_beats(record, RPeakList(ecg.r_indices, 1000.0))
         beats.extend(result.beats)
     images = encode_beats(beats, "gasf")
-    write_images(images, out, noise_variant="noisy")
+    out.mkdir()
+    write_manifest(write_images(images, out, noise_variant="noisy"), out)
     return out
 
 
