@@ -1,13 +1,15 @@
 """Command-line pipeline driver.
 
 Stages: ingest -> preprocess -> segment -> encode -> train -> eval ->
-report, plus "pipeline" to run them all. Each stage reads the previous
-stage's manifest, writes its own outputs plus the resolved configuration
-under the output root, and is skipped on re-runs when its outputs already
-exist for an identical configuration (override with --force). A stage
-removes its stored configuration before it writes and stores it again
-last. Eval fails unless the re-scored checkpoints reproduce train's
-``results.csv``.
+report, plus "pipeline" to run them all. STAGE_TABLE gives each stage's
+upstream stage, inputs, primary output and the settings it reads. A stage
+stores its key in ``config.json``: those settings and the sha256 of its
+upstream stage's ``config.json``, but never the output root. It is skipped
+when its primary output exists and its stored key equals the one it would
+write (--force re-runs it); a missing upstream key never lets it count as
+current. It removes its key before it writes and stores it again last.
+Eval and report refuse settings that train did not use, and eval fails
+unless the re-scored checkpoints reproduce train's ``results.csv``.
 
 Exit status: 0 on success, 1 when a stage fails, 2 for usage errors.
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +45,6 @@ REFERENCE_BEATS = {"healthy": 10139, "mi": 30128}
 # thread writes the chunk before it, so at most two chunks are held.
 ENCODE_CHUNK = 64
 
-STAGES = ("ingest", "preprocess", "segment", "encode", "train", "eval", "report")
 SUMMARY_FIELDS = [
     "variant", "mean_acc", "std_acc", "mean_sen", "std_sen", "mean_spe", "std_spe",
 ]
@@ -72,37 +75,117 @@ class PipelineConfig:
             patience=self.patience,
         )
 
-    def comparable(self) -> dict:
-        out = dataclasses.asdict(self)
-        out.pop("force")
-        return out
+
+@dataclass(frozen=True)
+class Stage:
+    """A row of STAGE_TABLE. Inputs are paths under the output root, with
+    ``{v}`` for a variant and ``{noise}`` for its noise condition."""
+
+    per_variant: bool  # runs once per selected variant, in <stage>/<variant>
+    upstream: str | None  # the stage whose config.json's sha256 is in the key
+    inputs: tuple[str, ...]  # files the stage requires
+    primary: str  # the output that, with a matching key, marks the stage current
+    fields: tuple[str, ...] = ()  # the PipelineConfig fields in the key
+    trained: tuple[str, ...] = ()  # fields that must equal train's stored ones
 
 
-def _write_config(cfg: PipelineConfig, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.json").write_text(
-        json.dumps(cfg.comparable(), indent=2, sort_keys=True) + "\n"
-    )
+STAGE_TABLE = {
+    "ingest": Stage(False, None, (), "records.csv", ("dataset_root", "inferior_only")),
+    "preprocess": Stage(False, "ingest", ("ingest/records.csv",), "signals.csv", ("dataset_root",)),
+    "segment": Stage(False, "preprocess", ("preprocess/signals.csv",), "beats_clean.csv"),
+    "encode": Stage(
+        True, "segment", ("segment/beats_{noise}.csv", "segment/beats_{noise}.npy"), "manifest.csv"
+    ),
+    "train": Stage(
+        True, "encode", ("encode/{v}/manifest.csv",), "results.csv",
+        ("split", "seed", "learning_rate", "batch_size", "max_epochs", "patience"),
+    ),
+    "eval": Stage(
+        True, "train", ("train/{v}/results.csv", "encode/{v}/manifest.csv"), "eval_results.csv",
+        trained=("split", "seed", "batch_size"),
+    ),
+    "report": Stage(
+        False, "train", ("train/{v}/results.csv",), "summary.csv", ("variant",),
+        trained=("split", "seed"),
+    ),
+}
+STAGES = tuple(STAGE_TABLE)
 
 
-def _drop_key(directory: Path) -> None:
-    """Unlink a stage's ``config.json`` before the stage writes anything, so
-    a run that dies part-way never leaves the stage marked current."""
-    (directory / "config.json").unlink(missing_ok=True)
-
-
-def _stage_current(cfg: PipelineConfig, directory: Path, primary: Path) -> bool:
-    """A stage is current when its main output and a matching config exist."""
-    if cfg.force:
-        return False
-    config_path = directory / "config.json"
-    if not primary.exists() or not config_path.exists():
-        return False
+def _read_key(path: Path) -> bytes | None:
+    """A stage's stored ``config.json``, or None when it cannot be read."""
     try:
-        stored = json.loads(config_path.read_text())
-    except json.JSONDecodeError:
-        return False
-    return stored == cfg.comparable()
+        return path.read_bytes()
+    except OSError:
+        return None
+
+
+def _key(cfg: PipelineConfig, row: Stage, variant_ids: list[str]) -> tuple[str, bool]:
+    """The ``config.json`` a stage reading ``variant_ids`` stores: its fields
+    and the sha256 of each upstream ``config.json`` (null when unreadable),
+    and whether every upstream key could be read."""
+    upstream = {}
+    if row.upstream is not None:
+        per_variant = STAGE_TABLE[row.upstream].per_variant
+        for rel in [f"{row.upstream}/{v}" for v in variant_ids] if per_variant else [row.upstream]:
+            raw = _read_key(Path(cfg.output_root) / rel / "config.json")
+            upstream[rel] = None if raw is None else hashlib.sha256(raw).hexdigest()
+    key = {**{field: getattr(cfg, field) for field in row.fields}, "upstream": upstream}
+    return json.dumps(key, indent=2, sort_keys=True) + "\n", None not in upstream.values()
+
+
+def _check_trained(cfg: PipelineConfig, fields: tuple[str, ...], variant_ids: list[str]) -> None:
+    """Refuse a value of ``fields`` other than the one train stored for each
+    of ``variant_ids``; a variant whose train stage stored no key is not checked."""
+    for variant_id in variant_ids:
+        path = Path(cfg.output_root) / "train" / variant_id / "config.json"
+        raw = _read_key(path)
+        if raw is None:
+            continue
+        try:
+            stored = json.loads(raw)
+        except ValueError as exc:
+            raise PipelineError(f"cannot read {path}: {exc}") from exc
+        for field in fields:
+            given = getattr(cfg, field)
+            if stored.get(field) != given:
+                raise PipelineError(
+                    f"train/{variant_id} used {field} {stored.get(field)!r}, not {given!r}"
+                )
+
+
+def _stage(body):
+    """Make ``body(cfg, out, variant_id)`` the stage ``stage_<name>(cfg)`` of
+    STAGE_TABLE's row ``<name>``. For each of its outputs (one per selected
+    variant when the row says so) it prints a skip line if the output is
+    current; otherwise it unlinks the stored key, so a run that dies part-way
+    stays unmarked, requires the inputs, runs ``body`` and stores the key."""
+    name = body.__name__.removeprefix("stage_")
+    row = STAGE_TABLE[name]
+
+    @functools.wraps(body)
+    def stage(cfg: PipelineConfig) -> None:
+        root = Path(cfg.output_root)
+        for variant_id in cfg.variants() if row.per_variant else [None]:
+            reads = [variant_id] if variant_id else cfg.variants()
+            if row.trained:
+                _check_trained(cfg, row.trained, reads)
+            out = root / name / (variant_id or "")
+            key, complete = _key(cfg, row, reads)
+            matches = complete and _read_key(out / "config.json") == key.encode()
+            if matches and not cfg.force and (out / row.primary).exists():
+                label = f"{name}:{variant_id}" if variant_id else name
+                print(f"[{label}] up to date, skipping")
+                continue
+            (out / "config.json").unlink(missing_ok=True)
+            inputs = [t.format(v=v, noise=VARIANTS[v][0]) for v in reads for t in row.inputs]
+            for path in dict.fromkeys(inputs):
+                _require(root / path, path.split("/")[0])
+            out.mkdir(parents=True, exist_ok=True)
+            body(cfg, out, variant_id)
+            (out / "config.json").write_text(key)
+
+    return stage
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -119,7 +202,7 @@ def _read_table(
     """Rows of a stage's CSV table, checked to have every one of ``fields``
     and as many cells as the header. ``parse`` maps a column to the function
     that converts its cells; a ValueError there names the file and line."""
-    with open(_require(path, producer), newline="") as fh:
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [f for f in fields if f not in (reader.fieldnames or ())]
         if missing:
@@ -166,16 +249,10 @@ def _safe_name(record_id: str) -> str:
 # --- stages ---------------------------------------------------------------
 
 
-def stage_ingest(cfg: PipelineConfig) -> None:
-    out = Path(cfg.output_root) / "ingest"
-    records_csv = out / "records.csv"
-    if _stage_current(cfg, out, records_csv):
-        print("[ingest] up to date, skipping")
-        return
-    _drop_key(out)
+@_stage
+def stage_ingest(cfg: PipelineConfig, out: Path, _: None) -> None:
     result = scan_dataset(cfg.dataset_root, lead_name=LEAD, inferior_only=cfg.inferior_only)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(records_csv, "w", newline="") as fh:
+    with open(out / "records.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record_id", "label"])
         for record_id, label in result.labeled:
@@ -197,28 +274,17 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         f"subjects: healthy={subjects[Label.HEALTHY]} mi={subjects[Label.MI]}",
     ]
     (out / "ingest_report.txt").write_text("\n".join(lines) + "\n")
-    _write_config(cfg, out)
     print(f"[ingest] {len(result.labeled)} records ({len(result.skipped)} skipped)")
 
 
-def _read_records(cfg: PipelineConfig) -> list[tuple[str, str]]:
+@_stage
+def stage_preprocess(cfg: PipelineConfig, out: Path, _: None) -> None:
     records_csv = Path(cfg.output_root) / "ingest" / "records.csv"
-    rows = _read_table(records_csv, ("record_id", "label"), "ingest")
-    return [(row["record_id"], row["label"]) for row in rows]
-
-
-def stage_preprocess(cfg: PipelineConfig) -> None:
-    out = Path(cfg.output_root) / "preprocess"
-    signals_csv = out / "signals.csv"
-    if _stage_current(cfg, out, signals_csv):
-        print("[preprocess] up to date, skipping")
-        return
-    _drop_key(out)
-    records = _read_records(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    records = _read_table(records_csv, ("record_id", "label"), "ingest")
     rows = []
     report = []
-    for record_id, label in records:
+    for entry in records:
+        record_id, label = entry["record_id"], entry["label"]
         record = load_record(cfg.dataset_root, record_id, lead_name=LEAD)
         clean = denoise(record)
         for noise_variant, samples in (("noisy", record.samples), ("clean", clean.samples)):
@@ -235,7 +301,7 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
                 }
             )
         report.append(f"{record_id}\t{len(record.samples)} samples")
-    with open(signals_csv, "w", newline="") as fh:
+    with open(out / "signals.csv", "w", newline="") as fh:
         writer = csv.DictWriter(
             fh,
             fieldnames=[
@@ -246,17 +312,11 @@ def stage_preprocess(cfg: PipelineConfig) -> None:
         writer.writeheader()
         writer.writerows(rows)
     (out / "preprocess_report.txt").write_text("\n".join(report) + "\n")
-    _write_config(cfg, out)
     print(f"[preprocess] {len(records)} records -> {len(rows)} signals")
 
 
-def stage_segment(cfg: PipelineConfig) -> None:
-    out = Path(cfg.output_root) / "segment"
-    done_marker = out / "beats_clean.csv"
-    if _stage_current(cfg, out, done_marker):
-        print("[segment] up to date, skipping")
-        return
-    _drop_key(out)
+@_stage
+def stage_segment(cfg: PipelineConfig, out: Path, _: None) -> None:
     pre_dir = Path(cfg.output_root) / "preprocess"
     rows = _read_table(
         pre_dir / "signals.csv",
@@ -264,7 +324,6 @@ def stage_segment(cfg: PipelineConfig) -> None:
         "preprocess",
         parse={"label": Label, "sampling_rate": float},
     )
-    out.mkdir(parents=True, exist_ok=True)
     report = ["record_id\tnoise\tbeats\tskipped_bounds\tskipped_degenerate"]
     totals: dict[str, dict[str, int]] = {
         nv: {label.value: 0 for label in Label} for nv in NOISE_VARIANTS
@@ -323,37 +382,27 @@ def stage_segment(cfg: PipelineConfig) -> None:
     (out / "segment_report.txt").write_text(
         "\n".join(summary) + "\n\n" + "\n".join(report) + "\n"
     )
-    _write_config(cfg, out)
     print(f"[segment] {' | '.join(summary[:2])}")
 
 
-def stage_encode(cfg: PipelineConfig) -> None:
-    seg_dir = Path(cfg.output_root) / "segment"
-    for variant_id in cfg.variants():
-        noise_variant, kind = VARIANTS[variant_id]
-        out = Path(cfg.output_root) / "encode" / variant_id
-        manifest = out / "manifest.csv"
-        if _stage_current(cfg, out, manifest):
-            print(f"[encode:{variant_id}] up to date, skipping")
-            continue
-        _drop_key(out)
-        beats_csv = seg_dir / f"beats_{noise_variant}.csv"
-        meta = _read_table(
-            beats_csv, ("record_id", "label", "r_peak_index"), "segment",
-            parse={"r_peak_index": int},
+@_stage
+def stage_encode(cfg: PipelineConfig, out: Path, variant_id: str) -> None:
+    noise_variant, kind = VARIANTS[variant_id]
+    beats_csv = Path(cfg.output_root) / "segment" / f"beats_{noise_variant}.csv"
+    meta = _read_table(
+        beats_csv, ("record_id", "label", "r_peak_index"), "segment",
+        parse={"r_peak_index": int},
+    )
+    beats_npy = beats_csv.with_suffix(".npy")
+    samples = _load_array(beats_npy)
+    if len(meta) != len(samples):
+        raise PipelineError(
+            f"{beats_csv} has {len(meta)} rows but {beats_npy} has "
+            f"{len(samples)} beats"
         )
-        beats_npy = _require(seg_dir / f"beats_{noise_variant}.npy", "segment")
-        samples = _load_array(beats_npy)
-        if len(meta) != len(samples):
-            raise PipelineError(
-                f"{beats_csv} has {len(meta)} rows but {beats_npy} has "
-                f"{len(samples)} beats"
-            )
-        out.mkdir(parents=True, exist_ok=True)
-        rows = _encode_and_write(meta, samples, kind, out, noise_variant)
-        write_manifest(rows, out)
-        _write_config(cfg, out)
-        print(f"[encode:{variant_id}] {len(rows)} images ({noise_variant}, {kind})")
+    rows = _encode_and_write(meta, samples, kind, out, noise_variant)
+    write_manifest(rows, out)
+    print(f"[encode:{variant_id}] {len(rows)} images ({noise_variant}, {kind})")
 
 
 def _encode_and_write(
@@ -388,111 +437,79 @@ def _encode_and_write(
     return rows
 
 
-def stage_train(cfg: PipelineConfig) -> None:
-    for variant_id in cfg.variants():
-        out = Path(cfg.output_root) / "train" / variant_id
-        results_csv = out / "results.csv"
-        if _stage_current(cfg, out, results_csv):
-            print(f"[train:{variant_id}] up to date, skipping")
-            continue
-        _drop_key(out)
-        encode_dir = Path(cfg.output_root) / "encode" / variant_id
-        _require(encode_dir / "manifest.csv", "encode")
-        variant = train_eval.load_variant(encode_dir, variant_id)
-        plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
-        results = train_eval.train_run(
-            variant, plan, hyper=cfg.hyperparams(), seed=cfg.seed, out_dir=out
+@_stage
+def stage_train(cfg: PipelineConfig, out: Path, variant_id: str) -> None:
+    encode_dir = Path(cfg.output_root) / "encode" / variant_id
+    variant = train_eval.load_variant(encode_dir, variant_id)
+    plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
+    results = train_eval.train_run(
+        variant, plan, hyper=cfg.hyperparams(), seed=cfg.seed, out_dir=out
+    )
+    train_eval.write_results_csv(results, out / "results.csv")
+    train_eval.write_curves_csv(results, out / "curves.csv")
+    train_eval.write_report(results, out / "report.txt", cfg.seed, cfg.split)
+    mean_acc = train_eval.summarize(results)["accuracy"][0]
+    print(f"[train:{variant_id}] mean accuracy {mean_acc:.2f}")
+
+
+@_stage
+def stage_eval(cfg: PipelineConfig, out: Path, variant_id: str) -> None:
+    train_dir = Path(cfg.output_root) / "train" / variant_id
+    encode_dir = Path(cfg.output_root) / "encode" / variant_id
+    trained = _read_results(train_dir / "results.csv")
+    variant = train_eval.load_variant(encode_dir, variant_id)
+    plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
+    rescored = []
+    for result in trained:
+        checkpoint = _require(
+            train_dir / f"{variant_id}_fold{result.fold:02d}.ckpt", "train"
         )
-        train_eval.write_results_csv(results, results_csv)
-        train_eval.write_curves_csv(results, out / "curves.csv")
-        train_eval.write_report(results, out / "report.txt", cfg.seed, cfg.split)
-        _write_config(cfg, out)
-        mean_acc = train_eval.summarize(results)["accuracy"][0]
-        print(f"[train:{variant_id}] mean accuracy {mean_acc:.2f}")
+        model = cnn.load_checkpoint(
+            checkpoint, expected_layers=cnn.classifier_layers()
+        )
+        test_idx = np.nonzero(plan.assignments == result.fold)[0]
+        counts, metrics = train_eval.evaluate(
+            model, variant.images[test_idx], variant.labels[test_idx], cfg.batch_size
+        )
+        rescored.append(dataclasses.replace(result, counts=counts, metrics=metrics))
+    train_eval.write_results_csv(rescored, out / "eval_results.csv")
+    mismatches = [
+        new.fold for old, new in zip(trained, rescored) if new.counts != old.counts
+    ]
+    if mismatches:
+        raise PipelineError(
+            f"eval:{variant_id} checkpoint predictions disagree with "
+            f"results.csv for folds {mismatches}"
+        )
+    print(f"[eval:{variant_id}] {len(rescored)} folds re-scored, counts match")
 
 
-def stage_eval(cfg: PipelineConfig) -> None:
-    for variant_id in cfg.variants():
-        out = Path(cfg.output_root) / "eval" / variant_id
-        eval_csv = out / "eval_results.csv"
-        if _stage_current(cfg, out, eval_csv):
-            print(f"[eval:{variant_id}] up to date, skipping")
-            continue
-        _drop_key(out)
-        train_dir = Path(cfg.output_root) / "train" / variant_id
-        results_csv = _require(train_dir / "results.csv", "train")
-        encode_dir = Path(cfg.output_root) / "encode" / variant_id
-        _require(encode_dir / "manifest.csv", "encode")
-        trained = _read_results(results_csv)
-        variant = train_eval.load_variant(encode_dir, variant_id)
-        plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
-        rescored = []
-        for result in trained:
-            checkpoint = _require(
-                train_dir / f"{variant_id}_fold{result.fold:02d}.ckpt", "train"
-            )
-            model = cnn.load_checkpoint(
-                checkpoint, expected_layers=cnn.classifier_layers()
-            )
-            test_idx = np.nonzero(plan.assignments == result.fold)[0]
-            counts, metrics = train_eval.evaluate(
-                model, variant.images[test_idx], variant.labels[test_idx], cfg.batch_size
-            )
-            rescored.append(dataclasses.replace(result, counts=counts, metrics=metrics))
-        out.mkdir(parents=True, exist_ok=True)
-        train_eval.write_results_csv(rescored, eval_csv)
-        mismatches = [
-            new.fold for old, new in zip(trained, rescored) if new.counts != old.counts
-        ]
-        if mismatches:
-            raise PipelineError(
-                f"eval:{variant_id} checkpoint predictions disagree with "
-                f"results.csv for folds {mismatches}"
-            )
-        _write_config(cfg, out)
-        print(f"[eval:{variant_id}] {len(rescored)} folds re-scored, counts match")
-
-
-def stage_report(cfg: PipelineConfig) -> None:
-    out = Path(cfg.output_root) / "report"
-    summary_csv = out / "summary.csv"
-    if _stage_current(cfg, out, summary_csv):
-        print("[report] up to date, skipping")
-        return
-    _drop_key(out)
+@_stage
+def stage_report(cfg: PipelineConfig, out: Path, _: None) -> None:
     rows = []
     lines = [f"seed: {cfg.seed}", f"split: {cfg.split}", ""]
     lines.append(
         f"{'variant':>7} {'acc':>17} {'sen':>17} {'spe':>17}"
     )
     for variant_id in cfg.variants():
-        results_csv = _require(
-            Path(cfg.output_root) / "train" / variant_id / "results.csv", "train"
-        )
+        results_csv = Path(cfg.output_root) / "train" / variant_id / "results.csv"
         stats = train_eval.summarize(_read_results(results_csv))
         rows.append([variant_id, *(f"{v:.4f}" for pair in stats.values() for v in pair)])
         lines.append(
             f"{variant_id:>7} "
             + " ".join(f"{mean:>8.4f}+-{std:<7.4f}" for mean, std in stats.values())
         )
-    out.mkdir(parents=True, exist_ok=True)
-    with open(summary_csv, "w", newline="") as fh:
+    with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
         writer.writerows(rows)
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    _write_config(cfg, out)
     print(f"[report] {len(rows)} variants summarized")
 
 
 def stage_pipeline(cfg: PipelineConfig) -> None:
-    stage_ingest(cfg)
-    stage_preprocess(cfg)
-    stage_segment(cfg)
-    stage_encode(cfg)
-    stage_train(cfg)
-    stage_eval(cfg)
-    stage_report(cfg)
+    for name in STAGES:
+        globals()[f"stage_{name}"](cfg)
 
 
 # --- argument parsing -----------------------------------------------------
@@ -540,37 +557,17 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
     needs_dataset = args.command in ("ingest", "preprocess", "pipeline")
     if needs_dataset and not args.dataset_root:
         parser.error(f"{args.command} requires --dataset-root")
-    return PipelineConfig(
-        dataset_root=args.dataset_root or "",
-        output_root=args.out,
-        variant=args.variant,
-        split=args.split,
-        seed=args.seed,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        inferior_only=args.inferior_only,
-        force=args.force,
-    )
+    # Every field after the two roots has an option of its own name.
+    options = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)[2:]}
+    return PipelineConfig(args.dataset_root or "", args.out, **options)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cfg = _config_from_args(args, parser)
-    stage = {
-        "ingest": stage_ingest,
-        "preprocess": stage_preprocess,
-        "segment": stage_segment,
-        "encode": stage_encode,
-        "train": stage_train,
-        "eval": stage_eval,
-        "report": stage_report,
-        "pipeline": stage_pipeline,
-    }[args.command]
     try:
-        stage(cfg)
+        globals()[f"stage_{args.command}"](cfg)
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests over the synthetic corpus."""
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -38,24 +39,51 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _copy_run(pipeline_run, out):
+    """A copy of the pipeline's output root at ``out``, and the pipeline's
+    argv pointed at it."""
+    shutil.copytree(pipeline_run[0], out)
+    argv = list(pipeline_run[1])
+    argv[argv.index("--out") + 1] = str(out)
+    return argv
+
+
+def _without_dataset_root(argv):
+    at = argv.index("--dataset-root")
+    return argv[:at] + argv[at + 2:]
+
+
+# Each stage's directory: the settings its key holds, and its upstream stage.
+STAGE_KEYS = {
+    "ingest": ({"dataset_root", "inferior_only"}, None),
+    "preprocess": ({"dataset_root"}, "ingest"),
+    "segment": (set(), "preprocess"),
+    "encode/ds1": (set(), "segment"),
+    "train/ds1": (
+        {"split", "seed", "learning_rate", "batch_size", "max_epochs", "patience"},
+        "encode/ds1",
+    ),
+    "eval/ds1": (set(), "train/ds1"),
+    "report": ({"variant"}, "train/ds1"),
+}
+
+
 class TestStageOutputs:
     def test_stage_directories_and_configs(self, pipeline_run):
         out, _ = pipeline_run
-        for stage_dir in (
-            "ingest",
-            "preprocess",
-            "segment",
-            "encode/ds1",
-            "train/ds1",
-            "eval/ds1",
-            "report",
-        ):
+        for stage_dir, (fields, upstream) in STAGE_KEYS.items():
             config = out / stage_dir / "config.json"
             assert config.is_file(), stage_dir
             stored = json.loads(config.read_text())
-            assert stored["variant"] == "ds1"
-            assert stored["seed"] == 3
-            assert "force" not in stored
+            assert set(stored) == fields | {"upstream"}, stage_dir
+            digests = {}
+            if upstream:
+                key = (out / upstream / "config.json").read_bytes()
+                digests[upstream] = hashlib.sha256(key).hexdigest()
+            assert stored["upstream"] == digests, stage_dir
+        train = json.loads((out / "train" / "ds1" / "config.json").read_text())
+        assert train["seed"] == 3 and train["max_epochs"] == 2
+        assert json.loads((out / "report" / "config.json").read_text())["variant"] == "ds1"
 
     def test_ingest_outputs(self, pipeline_run, toy_corpus):
         out, _ = pipeline_run
@@ -207,17 +235,74 @@ class TestResumability:
         assert marker.read_bytes() == before_bytes  # deterministic rebuild
 
     def test_changed_config_invalidates_stage(self, pipeline_run, tmp_path, capsys):
-        out, argv = pipeline_run
-        # Same outputs, different seed: the stored config no longer matches.
-        ingest_argv = ["ingest", *argv[1:]]
-        seed_at = ingest_argv.index("--seed") + 1
-        ingest_argv[seed_at] = "4"
-        assert main(ingest_argv) == 0
-        captured = capsys.readouterr()
-        assert "up to date" not in captured.out
-        # Restore the original configuration for later tests.
-        assert main(["ingest", *argv[1:]]) == 0
+        argv = _copy_run(pipeline_run, tmp_path / "out")
+        # Every toy infarction is inferior, so ingest's outputs stay the same;
+        # its stored setting no longer matches.
+        assert main(["ingest", *argv[1:], "--inferior-only"]) == 0
+        assert "up to date" not in capsys.readouterr().out
+        # preprocess and segment read no setting that changed, but each one's
+        # upstream stage now stores another key.
+        for stage in ("preprocess", "segment"):
+            assert main([stage, *argv[1:]]) == 0
+            assert "up to date" not in capsys.readouterr().out, stage
+        assert main(["segment", *argv[1:]]) == 0
+        assert capsys.readouterr().out == "[segment] up to date, skipping\n"
+
+    def test_hyperparameter_change_reruns_train_only(self, pipeline_run, tmp_path, capsys):
+        argv = _copy_run(pipeline_run, tmp_path / "out")
+        argv[argv.index("--epochs") + 1] = "3"
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == [
+            f"[{stage}] up to date, skipping"
+            for stage in ("ingest", "preprocess", "segment", "encode:ds1")
+        ]
+        assert [line.split("]")[0] for line in out[4:]] == ["[train:ds1", "[eval:ds1", "[report"]
+        assert "up to date" not in "".join(out[4:])
+
+    def test_stage_run_alone_after_pipeline_skips(self, pipeline_run, tmp_path, capsys):
+        argv = _without_dataset_root(_copy_run(pipeline_run, tmp_path / "out"))
+        for stage in ("segment", "encode", "train", "eval", "report"):
+            assert main([stage, *argv[1:]]) == 0
+            label = f"{stage}:ds1" if stage in ("encode", "train", "eval") else stage
+            assert capsys.readouterr().out == f"[{label}] up to date, skipping\n"
+
+    def test_copied_output_root_is_current(self, pipeline_run, tmp_path, capsys):
+        argv = _copy_run(pipeline_run, tmp_path / "out")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"[{label}] up to date, skipping"
+            for label in (
+                "ingest", "preprocess", "segment", "encode:ds1", "train:ds1", "eval:ds1", "report"
+            )
+        ]
+
+
+class TestTrainedSettings:
+    """eval and report refuse settings that train did not use."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (["--seed", "0"], "error: train/ds1 used seed 3, not 0"),
+            (["--batch", "4"], "error: train/ds1 used batch_size 8, not 4"),
+        ],
+        ids=["seed", "batch"],
+    )
+    def test_eval(self, pipeline_run, tmp_path, capsys, change, message):
+        argv = _copy_run(pipeline_run, tmp_path / "out")
         capsys.readouterr()
+        assert main(["eval", *argv[1:], *change, "--force"]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_report(self, pipeline_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run[0], out)
+        before = (out / "report" / "report.txt").read_text()
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--variant", "ds1", "--force"]) == 1
+        assert capsys.readouterr().err == "error: train/ds1 used seed 3, not 0\n"
+        assert (out / "report" / "report.txt").read_text() == before
 
 
 class TestFailureModes:
@@ -356,7 +441,7 @@ UNREADABLE_INPUTS = {
 
 class TestUnreadableInputs:
     @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
-    def test_one_error_line(self, pipeline_run, toy_corpus, tmp_path, capsys, case):
+    def test_one_error_line(self, pipeline_run, tmp_path, capsys, case):
         stage, pattern, corrupt = UNREADABLE_INPUTS[case]
         out = tmp_path / "out"
         # PNGs and checkpoints are copied only for the cases that damage them.
@@ -367,8 +452,9 @@ class TestUnreadableInputs:
         damaged = sorted(out.glob(pattern))[0]
         corrupt(damaged)
         capsys.readouterr()
-        argv = [stage, "--dataset-root", str(toy_corpus[0]), "--out", str(out)]
-        assert main([*argv, "--variant", "ds1", "--force"]) == 1
+        argv = [stage, *pipeline_run[1][1:], "--force"]
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert str(damaged) in err[0]
@@ -471,7 +557,8 @@ class TestAbortedRerun:
         assert main(argv) == 0
         with monkeypatch.context() as patch:
             _fail_on_image(patch, 70)
-            assert main([*argv[:-1], "4"]) == 1
+            # encode reads no setting, so the re-run that dies is a forced one.
+            assert main([*argv, "--force"]) == 1
         capsys.readouterr()
         assert main(argv) == 0
         assert "up to date" not in capsys.readouterr().out
@@ -479,9 +566,6 @@ class TestAbortedRerun:
     def test_train(self, pipeline_run, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         shutil.copytree(pipeline_run[0], out)
-        for config in out.glob("**/config.json"):  # the copy is the output root now
-            stored = json.loads(config.read_text())
-            config.write_text(json.dumps({**stored, "output_root": str(out)}))
         argv = ["train", *pipeline_run[1][1:]]
         argv[argv.index("--out") + 1] = str(out)
         assert main(argv) == 0
@@ -548,6 +632,29 @@ class TestPerfbenchContract:
         for name, sizes in items.items():
             assert sum(sizes) == beats, name
             assert max(sizes) <= cli.ENCODE_CHUNK, name
+
+    def test_each_stage_is_called_once_per_command(
+        self, pipeline_run, tmp_path, capsys, monkeypatch
+    ):
+        # The cli.<stage> spans wrap cli.stage_<name>, so main and pipeline
+        # must look a stage up by name when they call it.
+        calls = []
+        for name in (*cli.STAGES, "pipeline"):
+
+            def counted(cfg, _real=getattr(cli, f"stage_{name}"), _name=name):
+                calls.append(_name)
+                return _real(cfg)
+
+            monkeypatch.setattr(cli, f"stage_{name}", counted)
+        out = _segment_only(pipeline_run[0], tmp_path / "encoded")
+        assert main(["encode", "--out", str(out), "--variant", "all"]) == 0
+        assert calls == ["encode"]
+        calls.clear()
+        argv = _copy_run(pipeline_run, tmp_path / "out")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("up to date, skipping") == len(cli.STAGES)
+        assert calls == ["pipeline", *cli.STAGES]
 
 
 class TestRecordFilters:
