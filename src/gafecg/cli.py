@@ -16,7 +16,6 @@ Exit status: 0 on success, 1 when a stage fails, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -30,9 +29,10 @@ import numpy as np
 
 from . import cnn, train_eval
 from .errors import PipelineError
-from .gaf_encode import encode_beats, write_images, write_manifest
+from .gaf_encode import encode_beats, safe_name, write_images, write_manifest
 from .qrs_segment import Beat, pan_tompkins, segment_beats
 from .signal_prep import denoise
+from .tables import atomic_write, read_table, write_table
 from .train_eval import Hyperparams, VARIANTS
 from .wfdb_ingest import EcgRecord, Label, load_record, scan_dataset
 
@@ -45,6 +45,10 @@ REFERENCE_BEATS = {"healthy": 10139, "mi": 30128}
 # thread writes the chunk before it, so at most two chunks are held.
 ENCODE_CHUNK = 64
 
+# The columns of each stage table cli writes; its reader passes the same list.
+RECORDS_FIELDS = ["record_id", "label"]
+SIGNALS_FIELDS = ["record_id", "label", "noise_variant", "path", "n_samples", "sampling_rate"]
+BEATS_FIELDS = ["record_id", "label", "r_peak_index"]
 SUMMARY_FIELDS = [
     "variant", "mean_acc", "std_acc", "mean_sen", "std_sen", "mean_spe", "std_spe",
 ]
@@ -130,7 +134,10 @@ def _key(cfg: PipelineConfig, row: Stage, variant_ids: list[str]) -> tuple[str, 
         for rel in [f"{row.upstream}/{v}" for v in variant_ids] if per_variant else [row.upstream]:
             raw = _read_key(Path(cfg.output_root) / rel / "config.json")
             upstream[rel] = None if raw is None else hashlib.sha256(raw).hexdigest()
-    key = {**{field: getattr(cfg, field) for field in row.fields}, "upstream": upstream}
+    settings = {field: getattr(cfg, field) for field in row.fields}
+    if "dataset_root" in settings:  # one archive, however its path is spelled
+        settings["dataset_root"] = str(Path(cfg.dataset_root).resolve())
+    key = {**settings, "upstream": upstream}
     return json.dumps(key, indent=2, sort_keys=True) + "\n", None not in upstream.values()
 
 
@@ -183,7 +190,8 @@ def _stage(body):
                 _require(root / path, path.split("/")[0])
             out.mkdir(parents=True, exist_ok=True)
             body(cfg, out, variant_id)
-            (out / "config.json").write_text(key)
+            with atomic_write(out / "config.json", "w") as fh:
+                fh.write(key)
 
     return stage
 
@@ -194,37 +202,6 @@ def _require(path: Path, producer: str) -> Path:
             f"missing {path}; run the {producer!r} stage first"
         )
     return path
-
-
-def _read_table(
-    path: Path, fields: tuple[str, ...], producer: str, parse: dict | None = None
-) -> list[dict]:
-    """Rows of a stage's CSV table, checked to have every one of ``fields``
-    and as many cells as the header. ``parse`` maps a column to the function
-    that converts its cells; a ValueError there names the file and line."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [f for f in fields if f not in (reader.fieldnames or ())]
-        if missing:
-            raise PipelineError(
-                f"{path} has no {', '.join(missing)}; re-run {producer}"
-            )
-        rows = []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if None in row or None in row.values():
-                raise PipelineError(
-                    f"{where}: expected {len(reader.fieldnames)} cells; re-run {producer}"
-                )
-            for column, convert in (parse or {}).items():
-                try:
-                    row[column] = convert(row[column])
-                except ValueError:
-                    raise PipelineError(
-                        f"{where}: bad {column} {row[column]!r}; re-run {producer}"
-                    ) from None
-            rows.append(row)
-        return rows
 
 
 def _read_results(results_csv: Path) -> list[train_eval.FoldResult]:
@@ -242,21 +219,15 @@ def _load_array(path: Path) -> np.ndarray:
         raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
-def _safe_name(record_id: str) -> str:
-    return record_id.replace("/", "__")
-
-
 # --- stages ---------------------------------------------------------------
 
 
 @_stage
 def stage_ingest(cfg: PipelineConfig, out: Path, _: None) -> None:
     result = scan_dataset(cfg.dataset_root, lead_name=LEAD, inferior_only=cfg.inferior_only)
-    with open(out / "records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "label"])
-        for record_id, label in result.labeled:
-            writer.writerow([record_id, label.value])
+    write_table(out / "records.csv", RECORDS_FIELDS, [
+        {"record_id": record_id, "label": label.value} for record_id, label in result.labeled
+    ])
     with open(out / "skipped.txt", "w") as fh:
         for record_id, reason in result.skipped:
             fh.write(f"{record_id}\t{reason}\n")
@@ -280,7 +251,7 @@ def stage_ingest(cfg: PipelineConfig, out: Path, _: None) -> None:
 @_stage
 def stage_preprocess(cfg: PipelineConfig, out: Path, _: None) -> None:
     records_csv = Path(cfg.output_root) / "ingest" / "records.csv"
-    records = _read_table(records_csv, ("record_id", "label"), "ingest")
+    records = read_table(records_csv, RECORDS_FIELDS, "ingest")
     rows = []
     report = []
     for entry in records:
@@ -288,8 +259,9 @@ def stage_preprocess(cfg: PipelineConfig, out: Path, _: None) -> None:
         record = load_record(cfg.dataset_root, record_id, lead_name=LEAD)
         clean = denoise(record)
         for noise_variant, samples in (("noisy", record.samples), ("clean", clean.samples)):
-            name = f"{_safe_name(record_id)}__{noise_variant}.npy"
-            np.save(out / name, np.asarray(samples, dtype=np.float64))
+            name = f"{safe_name(record_id)}__{noise_variant}.npy"
+            with atomic_write(out / name) as fh:
+                np.save(fh, np.asarray(samples, dtype=np.float64))
             rows.append(
                 {
                     "record_id": record_id,
@@ -301,16 +273,7 @@ def stage_preprocess(cfg: PipelineConfig, out: Path, _: None) -> None:
                 }
             )
         report.append(f"{record_id}\t{len(record.samples)} samples")
-    with open(out / "signals.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "record_id", "label", "noise_variant", "path", "n_samples",
-                "sampling_rate",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    write_table(out / "signals.csv", SIGNALS_FIELDS, rows)
     (out / "preprocess_report.txt").write_text("\n".join(report) + "\n")
     print(f"[preprocess] {len(records)} records -> {len(rows)} signals")
 
@@ -318,10 +281,8 @@ def stage_preprocess(cfg: PipelineConfig, out: Path, _: None) -> None:
 @_stage
 def stage_segment(cfg: PipelineConfig, out: Path, _: None) -> None:
     pre_dir = Path(cfg.output_root) / "preprocess"
-    rows = _read_table(
-        pre_dir / "signals.csv",
-        ("record_id", "label", "noise_variant", "path", "sampling_rate"),
-        "preprocess",
+    rows = read_table(
+        pre_dir / "signals.csv", SIGNALS_FIELDS, "preprocess",
         parse={"label": Label, "sampling_rate": float},
     )
     report = ["record_id\tnoise\tbeats\tskipped_bounds\tskipped_degenerate"]
@@ -360,13 +321,9 @@ def stage_segment(cfg: PipelineConfig, out: Path, _: None) -> None:
             )
         if not arrays:
             raise PipelineError(f"segment produced no {noise_variant} beats")
-        np.save(out / f"beats_{noise_variant}.npy", np.stack(arrays))
-        with open(out / f"beats_{noise_variant}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["record_id", "label", "r_peak_index"]
-            )
-            writer.writeheader()
-            writer.writerows(beats_rows)
+        with atomic_write(out / f"beats_{noise_variant}.npy") as fh:
+            np.save(fh, np.stack(arrays))
+        write_table(out / f"beats_{noise_variant}.csv", BEATS_FIELDS, beats_rows)
     summary = []
     for noise_variant in NOISE_VARIANTS:
         healthy = totals[noise_variant]["healthy"]
@@ -389,10 +346,7 @@ def stage_segment(cfg: PipelineConfig, out: Path, _: None) -> None:
 def stage_encode(cfg: PipelineConfig, out: Path, variant_id: str) -> None:
     noise_variant, kind = VARIANTS[variant_id]
     beats_csv = Path(cfg.output_root) / "segment" / f"beats_{noise_variant}.csv"
-    meta = _read_table(
-        beats_csv, ("record_id", "label", "r_peak_index"), "segment",
-        parse={"r_peak_index": int},
-    )
+    meta = read_table(beats_csv, BEATS_FIELDS, "segment", parse={"r_peak_index": int})
     beats_npy = beats_csv.with_suffix(".npy")
     samples = _load_array(beats_npy)
     if len(meta) != len(samples):
@@ -494,15 +448,13 @@ def stage_report(cfg: PipelineConfig, out: Path, _: None) -> None:
     for variant_id in cfg.variants():
         results_csv = Path(cfg.output_root) / "train" / variant_id / "results.csv"
         stats = train_eval.summarize(_read_results(results_csv))
-        rows.append([variant_id, *(f"{v:.4f}" for pair in stats.values() for v in pair)])
+        cells = [variant_id, *(f"{v:.4f}" for pair in stats.values() for v in pair)]
+        rows.append(dict(zip(SUMMARY_FIELDS, cells)))
         lines.append(
             f"{variant_id:>7} "
             + " ".join(f"{mean:>8.4f}+-{std:<7.4f}" for mean, std in stats.values())
         )
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        writer.writerows(rows)
+    write_table(out / "summary.csv", SUMMARY_FIELDS, rows)
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print(f"[report] {len(rows)} variants summarized")
 

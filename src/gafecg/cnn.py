@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, NumericalError, ShapeError
+from .tables import atomic_write
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -571,10 +572,11 @@ def _parse_arch(desc: str) -> tuple[tuple[LayerSpec, ...], tuple[int, int]]:
 
 def save_checkpoint(model: CnnModel, path: str | Path) -> None:
     """Write magic, version, architecture, seed, Adam step, then raw
-    little-endian parameter and moment tensors in declaration order."""
+    little-endian parameter and moment tensors in declaration order; the
+    file appears whole or not at all."""
     desc = _describe_arch(model).encode()
     le = np.dtype(model.dtype).newbyteorder("<")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IBI", CHECKPOINT_VERSION, model.dtype.itemsize, len(desc)))
         fh.write(desc)

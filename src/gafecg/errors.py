@@ -75,7 +75,8 @@ class CheckpointError(PipelineError):
 
 
 class BuildError(PipelineError):
-    """Dataset assembly failed (missing images, empty class, bad manifest)."""
+    """Dataset assembly failed (missing images, empty class), or a stage
+    table is missing or malformed (bad columns, short rows, bad cells)."""
 
 
 class InvalidFoldCount(PipelineError):

@@ -8,7 +8,6 @@ storage as a grayscale image.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateBeat, InvalidInput
 from .png_io import write_gray_png
+from .tables import write_table
 
 IMAGE_SIZE = 128
 GAF_KINDS = ("gasf", "gadf")
@@ -78,6 +78,11 @@ def quantize(matrix: np.ndarray) -> np.ndarray:
     return levels.astype(np.uint8)
 
 
+def safe_name(record_id: str) -> str:
+    """A record id ("subject/record") as one file-name component."""
+    return record_id.replace("/", "__")
+
+
 @dataclass
 class GafImage:
     """One encoded beat ready to store as a grayscale PNG."""
@@ -90,8 +95,7 @@ class GafImage:
 
     @property
     def file_name(self) -> str:
-        safe_record = self.record_id.replace("/", "__")
-        return f"{safe_record}_r{self.r_peak_index:07d}_{self.kind}.png"
+        return f"{safe_name(self.record_id)}_r{self.r_peak_index:07d}_{self.kind}.png"
 
 
 def encode_series(samples: np.ndarray, kind: str) -> np.ndarray:
@@ -153,8 +157,5 @@ def write_manifest(rows, out_dir: str | Path) -> Path:
     order the images were written in.
     """
     manifest = Path(out_dir) / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        writer.writerows(sorted(rows, key=lambda r: r["path"]))
+    write_table(manifest, MANIFEST_FIELDS, sorted(rows, key=lambda r: r["path"]))
     return manifest

@@ -14,7 +14,6 @@ recovered, specificity counts healthy beats recovered.
 from __future__ import annotations
 
 import copy
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from . import cnn
 from .errors import BuildError, InvalidFoldCount, UndefinedMetric
 from .gaf_encode import MANIFEST_FIELDS
 from .png_io import read_gray_png
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class Hyperparams:
 
 
 @dataclass
-class DatasetItem:
+class DatasetItem:  # one manifest row: its fields are MANIFEST_FIELDS, in order
     path: str
     label: str
     record_id: str
@@ -128,50 +128,19 @@ def load_variant(encode_dir: str | Path, variant_id: str) -> DatasetVariant:
     noise_variant, kind = VARIANTS[variant_id]
     encode_dir = Path(encode_dir)
     manifest = encode_dir / "manifest.csv"
-    if not manifest.is_file():
-        raise BuildError(f"missing manifest {manifest}")
-    items: list[DatasetItem] = []
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_FIELDS:
-            raise BuildError(
-                f"{manifest}: bad columns {reader.fieldnames}, expected {MANIFEST_FIELDS}"
-            )
-        for row in reader:
-            where = f"{manifest} line {reader.line_num}"
-            if None in row or None in row.values():
-                raise BuildError(
-                    f"{where}: expected {len(MANIFEST_FIELDS)} cells; re-run encode"
-                )
-            try:
-                r_peak_index = int(row["r_peak_index"])
-            except ValueError:
-                raise BuildError(
-                    f"{where}: bad r_peak_index {row['r_peak_index']!r}; re-run encode"
-                ) from None
-            items.append(
-                DatasetItem(
-                    path=row["path"],
-                    label=row["label"],
-                    record_id=row["record_id"],
-                    r_peak_index=r_peak_index,
-                    kind=row["kind"],
-                    noise_variant=row["noise_variant"],
-                )
-            )
+    rows = read_table(manifest, MANIFEST_FIELDS, "encode", parse={"r_peak_index": int})
     items = [
-        it for it in items if it.kind == kind and it.noise_variant == noise_variant
+        DatasetItem(**row) for row in rows
+        if row["kind"] == kind and row["noise_variant"] == noise_variant
     ]
     if not items:
         raise BuildError(
             f"{manifest}: no items for kind={kind!r}, noise={noise_variant!r}"
         )
-    missing = [it.path for it in items if not (encode_dir / it.path).is_file()]
+    missing = [encode_dir / it.path for it in items if not (encode_dir / it.path).is_file()]
     if missing:
-        shown = ", ".join(missing[:5])
-        raise BuildError(
-            f"{len(missing)} image files missing under {encode_dir}: {shown}"
-        )
+        shown = ", ".join(map(str, missing[:5]))
+        raise BuildError(f"{len(missing)} image files missing: {shown}")
     bad_labels = sorted({it.label for it in items} - set(LABEL_TO_CLASS))
     if bad_labels:
         raise BuildError(f"{manifest}: unknown labels {bad_labels}")
@@ -402,74 +371,47 @@ def train_run(
 
 
 def write_results_csv(results: list[FoldResult], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS)
-        writer.writeheader()
-        for r in results:
-            writer.writerow(
-                {
-                    "fold": r.fold,
-                    "variant": r.variant_id,
-                    "tp": r.counts.tp,
-                    "tn": r.counts.tn,
-                    "fp": r.counts.fp,
-                    "fn": r.counts.fn,
-                    "acc": f"{r.metrics.accuracy:.2f}",
-                    "sen": f"{r.metrics.sensitivity:.2f}",
-                    "spe": f"{r.metrics.specificity:.2f}",
-                    "epochs_run": r.epochs_run,
-                }
-            )
+    write_table(path, RESULTS_FIELDS, [
+        {
+            "fold": r.fold,
+            "variant": r.variant_id,
+            "tp": r.counts.tp,
+            "tn": r.counts.tn,
+            "fp": r.counts.fp,
+            "fn": r.counts.fn,
+            "acc": f"{r.metrics.accuracy:.2f}",
+            "sen": f"{r.metrics.sensitivity:.2f}",
+            "spe": f"{r.metrics.specificity:.2f}",
+            "epochs_run": r.epochs_run,
+        }
+        for r in results
+    ])
 
 
 def read_results_csv(path: str | Path) -> list[FoldResult]:
     """Read a ``write_results_csv`` file; metrics are recomputed from the counts."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULTS_FIELDS:
-            raise BuildError(
-                f"{path}: bad columns {reader.fieldnames}, expected {RESULTS_FIELDS}"
-            )
-        results = []
-        for row in reader:
-            if None in row or None in row.values():
-                raise BuildError(
-                    f"{path} line {reader.line_num}: expected {len(RESULTS_FIELDS)} cells"
-                )
-            try:
-                counts = ConfusionCounts(*(int(row[k]) for k in ("tp", "tn", "fp", "fn")))
-                fold, epochs_run = int(row["fold"]), int(row["epochs_run"])
-            except ValueError as exc:
-                raise BuildError(f"{path} line {reader.line_num}: {exc}") from exc
-            results.append(
-                FoldResult(
-                    fold=fold,
-                    variant_id=row["variant"],
-                    counts=counts,
-                    metrics=compute_metrics(counts),
-                    epochs_run=epochs_run,
-                )
-            )
+    integers = dict.fromkeys(("fold", "tp", "tn", "fp", "fn", "epochs_run"), int)
+    results = []
+    for row in read_table(path, RESULTS_FIELDS, "train", parse=integers):
+        counts = ConfusionCounts(row["tp"], row["tn"], row["fp"], row["fn"])
+        metrics = compute_metrics(counts)
+        results.append(FoldResult(row["fold"], row["variant"], counts, metrics, row["epochs_run"]))
     return results
 
 
 def write_curves_csv(results: list[FoldResult], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CURVES_FIELDS)
-        writer.writeheader()
-        for r in results:
-            for e in r.curve:
-                writer.writerow(
-                    {
-                        "fold": r.fold,
-                        "epoch": e.epoch,
-                        "train_loss": f"{e.train_loss:.6f}",
-                        "val_loss": f"{e.val_loss:.6f}",
-                        "train_acc": f"{e.train_acc:.6f}",
-                        "val_acc": f"{e.val_acc:.6f}",
-                    }
-                )
+    write_table(path, CURVES_FIELDS, [
+        {
+            "fold": r.fold,
+            "epoch": e.epoch,
+            "train_loss": f"{e.train_loss:.6f}",
+            "val_loss": f"{e.val_loss:.6f}",
+            "train_acc": f"{e.train_acc:.6f}",
+            "val_acc": f"{e.val_acc:.6f}",
+        }
+        for r in results
+        for e in r.curve
+    ])
 
 
 def summarize(results: list[FoldResult]) -> dict[str, tuple[float, float]]:

@@ -505,6 +505,7 @@ class TestEndToEndDeterminism:
         assert main(repeat_argv) == 0
         files = _tree(first_out)
         assert files == _tree(second_out)
+        assert not [rel for rel in files if rel.suffix == ".tmp"], "a temp file was left"
         for rel in files:
             a = (first_out / rel).read_bytes()
             b = (second_out / rel).read_bytes()

@@ -267,6 +267,15 @@ class TestResumability:
             label = f"{stage}:ds1" if stage in ("encode", "train", "eval") else stage
             assert capsys.readouterr().out == f"[{label}] up to date, skipping\n"
 
+    def test_dataset_root_spellings_share_a_key(self, toy_corpus, tmp_path, capsys, monkeypatch):
+        root, _ = toy_corpus
+        monkeypatch.chdir(root.parent)
+        out = tmp_path / "out"
+        for i, spelling in enumerate([root.name, f"./{root.name}", str(root)]):
+            assert main(["ingest", "--dataset-root", spelling, "--out", str(out)]) == 0
+            skipped = capsys.readouterr().out == "[ingest] up to date, skipping\n"
+            assert skipped == (i > 0), spelling
+
     def test_copied_output_root_is_current(self, pipeline_run, tmp_path, capsys):
         argv = _copy_run(pipeline_run, tmp_path / "out")
         assert main(argv) == 0
@@ -380,6 +389,19 @@ def _keep_header(path):
     path.write_text(path.read_text().splitlines()[0] + "\n")
 
 
+def _add_column(path):
+    path.write_text("".join(f"{line},x\n" for line in path.read_text().splitlines()))
+
+
+def _swap_first_columns(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows))
+
+
+def _delete(path):
+    path.unlink()
+
+
 def _write_png(path, ihdr, rows):
     """Write a PNG with the given IHDR payload and inflated IDAT rows."""
     chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(rows)), (b"IEND", b"")]
@@ -436,6 +458,20 @@ UNREADABLE_INPUTS = {
     ),
     "manifest-short-row": ("train", "encode/ds1/manifest.csv", _keep_cells(4)),
     "truncated-checkpoint-eval": ("eval", "train/ds1/*.ckpt", _truncate),
+    "records-extra-column": ("preprocess", "ingest/records.csv", _add_column),
+    "beats-columns-swapped": ("encode", "segment/beats_noisy.csv", _swap_first_columns),
+    "records-short-row": ("preprocess", "ingest/records.csv", _keep_cells(1)),
+    "missing-records": ("preprocess", "ingest/records.csv", _delete),
+    "missing-signals": ("segment", "preprocess/signals.csv", _delete),
+    "missing-signal-npy": ("segment", "preprocess/*__noisy.npy", _delete),
+    "missing-beats-csv": ("encode", "segment/beats_noisy.csv", _delete),
+    "missing-beats-npy": ("encode", "segment/beats_noisy.npy", _delete),
+    "missing-manifest-train": ("train", "encode/ds1/manifest.csv", _delete),
+    "missing-manifest-eval": ("eval", "encode/ds1/manifest.csv", _delete),
+    "missing-png": ("train", "encode/ds1/*.png", _delete),
+    "missing-results-eval": ("eval", "train/ds1/results.csv", _delete),
+    "missing-results-report": ("report", "train/ds1/results.csv", _delete),
+    "missing-checkpoint-eval": ("eval", "train/ds1/*.ckpt", _delete),
 }
 
 
