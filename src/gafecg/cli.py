@@ -10,6 +10,8 @@ write (--force re-runs it); a missing upstream key never lets it count as
 current. It removes its key before it writes and stores it again last.
 Eval and report refuse settings that train did not use, and eval fails
 unless the re-scored checkpoints reproduce train's ``results.csv``.
+``main`` runs numpy's BLAS on one thread before any stage: train's folds
+run in worker processes instead, and no output depends on the count.
 
 Exit status: 0 on success, 1 when a stage fails, 2 for usage errors.
 """
@@ -518,6 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cfg = _config_from_args(args, parser)
+    train_eval.pin_blas_threads(1)
     try:
         globals()[f"stage_{args.command}"](cfg)
     except (PipelineError, OSError) as exc:

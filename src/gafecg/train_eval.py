@@ -6,7 +6,10 @@ ds4 = denoised + difference. Items are split into k folds (shuffled
 round-robin over beats, or over subjects to keep a subject inside one
 fold); each fold's remainder is split 80/20 into train/validation, the
 network trains with Adam and early stopping on validation loss, and the
-best-validation model is scored on the held-out fold.
+best-validation model is scored on the held-out fold. ``train_run`` trains
+the folds in forked worker processes, one per usable CPU (``taskset``
+limits them), each with BLAS on one thread; the results and files do not
+depend on the number of workers or on the BLAS thread count.
 
 The infarction class is positive: sensitivity counts infarction beats
 recovered, specificity counts healthy beats recovered.
@@ -14,14 +17,21 @@ recovered, specificity counts healthy beats recovered.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import logging
+import multiprocessing
+import os
+import signal
+import warnings
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import cnn
-from .errors import BuildError, InvalidFoldCount, UndefinedMetric
+from .errors import BuildError, InvalidFoldCount, PipelineError, UndefinedMetric
 from .gaf_encode import MANIFEST_FIELDS
 from .png_io import read_gray_png
 from .tables import read_table, write_table
@@ -351,6 +361,71 @@ def train_fold(
     )
 
 
+# (prefix, suffix) of the symbols of each OpenBLAS build numpy links: the
+# scipy-openblas of numpy's own wheels, then plain 64-bit and 32-bit OpenBLAS.
+_OPENBLAS_SYMBOLS = [("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")]
+
+
+@functools.cache
+def _blas():
+    """numpy's BLAS thread-count setter and the library's name and version,
+    or None for a BLAS without a known setter."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    # dlsym on numpy's extension module also searches the libraries it links.
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix, suffix in _OPENBLAS_SYMBOLS:
+        setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            config = getattr(lib, f"{prefix}get_config{suffix}")
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            return setter, " ".join(config().decode().split()[:2])
+    return None
+
+
+def pin_blas_threads(threads: int) -> str:
+    """Run numpy's BLAS on ``threads`` threads in this process. Returns the
+    library's name and version, or "unpinned", after one warning, for a BLAS
+    whose thread count this cannot set."""
+    found = _blas()
+    if found is None:
+        warnings.warn(
+            "unknown BLAS: thread count unpinned, so training bytes may depend on it",
+            RuntimeWarning,
+        )
+        return "unpinned"
+    setter, name = found
+    setter(threads)
+    return name
+
+
+_fold_args: tuple = ()  # set in each worker only: (variant, plan, train_fold keywords)
+
+
+def _start_worker(variant: DatasetVariant, plan: FoldPlan, kwargs: dict) -> None:
+    global _fold_args
+    # Ctrl-C ends a worker at once: caught, the worker would go on to the
+    # next queued fold and the interrupted run would wait for it.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # A worker outliving its parent would wait on the task queue for good,
+    # so Linux kills it when the parent dies.
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != multiprocessing.parent_process().pid:  # died before prctl
+        os._exit(1)
+    pin_blas_threads(1)
+    _fold_args = (variant, plan, kwargs)
+
+
+def _run_fold(fold: int) -> FoldResult:
+    variant, plan, kwargs = _fold_args
+    return train_fold(variant, plan, fold, **kwargs)
+
+
 def train_run(
     variant: DatasetVariant,
     plan: FoldPlan,
@@ -360,14 +435,41 @@ def train_run(
     layers=None,
     input_shape: tuple[int, int] | None = None,
 ) -> list[FoldResult]:
-    """Train and score every fold in turn."""
-    return [
-        train_fold(
-            variant, plan, fold, hyper=hyper, seed=seed, out_dir=out_dir,
-            layers=layers, input_shape=input_shape,
-        )
-        for fold in range(plan.k)
-    ]
+    """Train and score every fold; the results are in fold order.
+
+    The folds run in worker processes forked from this one, one per usable
+    CPU (``taskset`` limits them) and at most ``plan.k``. Workers share the
+    variant's image pages, so only each fold number and FoldResult is
+    pickled, and run BLAS on one thread. Each fold is seeded on its own, so
+    results and files do not depend on the number of workers. A fold's
+    error is raised as a PipelineError naming the fold, once the pending
+    folds are cancelled and every worker has exited. Ctrl-C, or the death
+    of this process, ends every worker at once.
+    """
+    kwargs = dict(hyper=hyper, seed=seed, out_dir=out_dir, layers=layers, input_shape=input_shape)
+    # fork, not spawn, so the workers share the images instead of loading or
+    # unpickling a copy each; the stages start no thread that outlives them.
+    pool = ProcessPoolExecutor(
+        min(plan.k, len(os.sched_getaffinity(0))),
+        multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(variant, plan, kwargs),
+    )
+    try:
+        futures = [pool.submit(_run_fold, fold) for fold in range(plan.k)]
+        results = []
+        for fold, future in enumerate(futures):
+            try:
+                results.append(future.result())
+            except (PipelineError, OSError) as exc:
+                raise PipelineError(f"fold {fold}: {exc}") from exc
+            except BrokenProcessPool as exc:
+                raise PipelineError(
+                    f"a training worker died before fold {fold} finished: {exc}"
+                ) from exc
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def write_results_csv(results: list[FoldResult], path: str | Path) -> None:

@@ -2,13 +2,17 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import shlex
 import shutil
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -17,7 +21,7 @@ import pytest
 
 from gafecg import cli, gaf_encode, train_eval
 from gafecg.cli import main
-from gafecg.errors import PipelineError
+from gafecg.errors import PipelineError, UndefinedMetric
 from gafecg.gaf_encode import MANIFEST_FIELDS, encode_beat
 from gafecg.png_io import PNG_SIGNATURE, read_gray_png, write_gray_png
 from gafecg.qrs_segment import Beat
@@ -623,7 +627,130 @@ class TestAbortedRerun:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "up to date" not in captured.out
-        assert captured.err == "error: train re-ran\n"
+        assert captured.err == "error: fold 0: train re-ran\n"
+
+
+def _train_argv(pipeline_run, out):
+    """``gafecg train --force`` on a copy of the pipeline's output root."""
+    argv = _copy_run(pipeline_run, out)
+    return ["train", *argv[1:], "--force"]
+
+
+def _digests(directory):
+    return {
+        p.relative_to(directory).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.rglob("*")) if p.is_file()
+    }
+
+
+def _quick_folds(k, fail):
+    """A train_fold that calls ``fail()`` in fold ``k``; the other folds
+    return a result after a short sleep, so fold k fails out of order."""
+    def train_fold(variant, plan, fold, **kwargs):
+        if fold == k:
+            fail()
+        time.sleep(0.2)
+        counts = ConfusionCounts(1, 1, 0, 0)
+        return FoldResult(fold, variant.variant_id, counts, compute_metrics(counts), 1)
+
+    return train_fold
+
+
+class TestParallelFolds:
+    """train_run trains the folds in forked worker processes, one per usable CPU."""
+
+    def test_fold_error_is_one_line_naming_the_fold(
+        self, pipeline_run, tmp_path, capsys, monkeypatch
+    ):
+        argv = _train_argv(pipeline_run, tmp_path / "out")
+
+        def fail():
+            raise UndefinedMetric("no negative ground truth; specificity undefined")
+
+        monkeypatch.setattr(train_eval, "train_fold", _quick_folds(7, fail))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: fold 7: no negative ground truth; specificity undefined\n"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_one_error_line(self, pipeline_run, tmp_path, capsys, monkeypatch):
+        argv = _train_argv(pipeline_run, tmp_path / "out")
+        monkeypatch.setattr(train_eval, "train_fold", _quick_folds(3, lambda: os._exit(3)))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a training worker died") and err.count("\n") == 1, err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stop", ["ctrl-c", "kill the parent"])
+    def test_stopping_a_run_ends_every_worker_at_once(self, pipeline_run, tmp_path, stop):
+        # 50 epochs make each fold take far longer than the waits below.
+        argv = [*_train_argv(pipeline_run, tmp_path / "out"), "--epochs", "50", "--patience", "50"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gafecg.cli", *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            time.sleep(3)
+            if stop == "ctrl-c":
+                os.killpg(proc.pid, signal.SIGINT)  # the whole process group
+            else:
+                proc.kill()  # the parent alone, which cannot clean up
+            proc.wait(timeout=10)  # no fold runs on after the stop
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.1)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)  # no process is left in the group
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, pipeline_run, tmp_path, capsys, monkeypatch
+    ):
+        real = train_eval.train_fold
+        digests = {}
+        for cpus in ({0}, {0, 1}):
+            out = tmp_path / f"cpus{len(cpus)}"
+            argv = _train_argv(pipeline_run, out)
+            pids = tmp_path / f"pids{len(cpus)}"
+            pids.mkdir()
+
+            def train_fold(*args, _pids=pids, **kwargs):
+                (_pids / str(os.getpid())).touch()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, _cpus=cpus: _cpus)
+            monkeypatch.setattr(train_eval, "train_fold", train_fold)
+            assert main(argv) == 0
+            assert len(list(pids.iterdir())) == len(cpus)  # the number of workers
+            digests[len(cpus)] = _digests(out / "train")
+        assert digests[1] == digests[2]
+        assert multiprocessing.active_children() == []
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        digests = {}
+        for threads in (2, 1):
+            library = train_eval.pin_blas_threads(threads)
+            if library == "unpinned":
+                pytest.skip("this BLAS's thread count cannot be set")
+            out = tmp_path / f"threads{threads}"
+            assert main(_train_argv(pipeline_run, out)) == 0
+            digests[threads] = _digests(out / "train")
+        one, two = digests[1], digests[2]
+        differ = sorted(k for k in one if one[k] != two.get(k))
+        assert one == two, f"{library} at 1 and 2 threads: {differ} differ"
 
 
 class TestPerfbenchContract:

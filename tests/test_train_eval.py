@@ -437,3 +437,26 @@ class TestRunAndReports:
         assert "split: beat" in text
         assert "accuracy: mean=" in text
         assert len([l for l in text.splitlines() if l[:4].strip().isdigit()]) == 3
+
+
+class TestBlasPin:
+    def test_names_the_library(self):
+        name = train_eval.pin_blas_threads(1)
+        assert name == "unpinned" or name.startswith("OpenBLAS "), name
+
+    def test_unknown_blas_warns_and_is_unpinned(self, monkeypatch):
+        monkeypatch.setattr(train_eval, "_blas", lambda: None)
+        with pytest.warns(RuntimeWarning, match="unknown BLAS"):
+            assert train_eval.pin_blas_threads(1) == "unpinned"
+
+    def test_train_run_workers_run_blas_on_one_thread(self, variant, tmp_path):
+        plan = make_folds(variant, k=3, seed=2)
+        hyper = Hyperparams(learning_rate=0.003, batch_size=8, max_epochs=2, patience=2)
+        checkpoints = {}
+        for threads in (2, 1):
+            library = train_eval.pin_blas_threads(threads)
+            out = tmp_path / str(threads)
+            train_run(variant, plan, hyper=hyper, seed=2, out_dir=out)
+            checkpoints[threads] = [p.read_bytes() for p in sorted(out.glob("*.ckpt"))]
+        assert len(checkpoints[1]) == 3
+        assert checkpoints[1] == checkpoints[2], f"{library}: checkpoints differ"
