@@ -469,6 +469,19 @@ def stage_pipeline(cfg: PipelineConfig) -> None:
 # --- argument parsing -----------------------------------------------------
 
 
+def _positive(cast):
+    """An argparse type: ``cast`` of the option's text, refused unless > 0."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gafecg",
@@ -492,10 +505,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="fold assignment granularity",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lr", type=float, default=0.001, dest="learning_rate")
-        p.add_argument("--batch", type=int, default=8, dest="batch_size")
-        p.add_argument("--epochs", type=int, default=50, dest="max_epochs")
-        p.add_argument("--patience", type=int, default=5)
+        p.add_argument("--lr", type=_positive(float), default=0.001, dest="learning_rate")
+        p.add_argument("--batch", type=_positive(int), default=8, dest="batch_size")
+        p.add_argument("--epochs", type=_positive(int), default=50, dest="max_epochs")
+        p.add_argument("--patience", type=_positive(int), default=5)
         p.add_argument(
             "--inferior-only",
             action="store_true",

@@ -25,6 +25,9 @@ explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 - Adam updates the moments and parameters in place, in the operation order
   of the textbook formula, so the bytes equal an out-of-place update.
+- A checkpoint holds the architecture, the seed and the parameters: what
+  scoring reads. Adam's moments are not saved, so a loaded model is for
+  scoring and starts any further training from a fresh optimizer state.
 
 A reduced configuration (`reduced_layers`) keeps every layer type but
 shrinks the image and channel counts so finite-difference gradient checks
@@ -48,7 +51,7 @@ ADAM_EPS = 1e-8
 LOSS_EPS = 1e-7  # probability clip inside the cross-entropy
 
 CHECKPOINT_MAGIC = b"GAFECGCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,10 @@ class Conv:
 
 @dataclass(frozen=True)
 class Pool:
-    """Max pooling, stride == size; odd trailing rows/columns are dropped."""
+    """Max pooling over non-overlapping size x size windows; odd trailing
+    rows/columns are dropped."""
 
     size: int = 2
-    stride: int = 2
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,8 @@ def _plan(layers: tuple[LayerSpec, ...], input_shape: tuple[int, int]) -> list[t
         elif isinstance(layer, Pool):
             if len(shape) != 3:
                 raise ShapeError(f"pool layer after flatten: input shape {shape}")
-            if not 1 <= layer.size <= 16 or layer.stride != layer.size:
-                raise ShapeError(f"pool needs stride == size in 1..16, got {layer}")
+            if not 1 <= layer.size <= 16:
+                raise ShapeError(f"pool needs size in 1..16, got {layer}")
             h, w, c = shape
             oh, ow = h // layer.size, w // layer.size
             if oh < 1 or ow < 1:
@@ -214,10 +217,21 @@ def model_init(
             fan_in = int(np.prod(shape[:-1]))
             limit = np.sqrt(6.0 / (fan_in + shape[-1]))
         params.append(rng.uniform(-limit, limit, size=shape).astype(dtype))
+    return _model(layers, input_shape, params, seed, dtype)
+
+
+def _model(
+    layers: tuple[LayerSpec, ...],
+    input_shape: tuple[int, int],
+    params: list[np.ndarray],
+    seed: int,
+    dtype,
+) -> CnnModel:
+    """A model around ``params`` with a fresh Adam state (step 0, zero moments)."""
     adam = AdamState(
         step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=[np.zeros(p.shape, p.dtype) for p in params],
+        v=[np.zeros(p.shape, p.dtype) for p in params],
     )
     return CnnModel(
         layers=tuple(layers),
@@ -541,7 +555,7 @@ def _describe_arch(model: CnnModel) -> str:
         if isinstance(layer, Conv):
             parts.append(f"conv:{layer.out_channels}:{layer.kernel}:{layer.padding}")
         elif isinstance(layer, Pool):
-            parts.append(f"pool:{layer.size}:{layer.stride}")
+            parts.append(f"pool:{layer.size}")
         else:
             parts.append(f"dense:{layer.units}:{layer.activation}")
     return "|".join(parts)
@@ -560,7 +574,7 @@ def _parse_arch(desc: str) -> tuple[tuple[LayerSpec, ...], tuple[int, int]]:
             if fields[0] == "conv":
                 layers.append(Conv(int(fields[1]), int(fields[2]), fields[3]))
             elif fields[0] == "pool":
-                layers.append(Pool(int(fields[1]), int(fields[2])))
+                layers.append(Pool(int(fields[1])))
             elif fields[0] == "dense":
                 layers.append(Dense(int(fields[1]), fields[2]))
             else:
@@ -571,9 +585,10 @@ def _parse_arch(desc: str) -> tuple[tuple[LayerSpec, ...], tuple[int, int]]:
 
 
 def save_checkpoint(model: CnnModel, path: str | Path) -> None:
-    """Write magic, version, architecture, seed, Adam step, then raw
-    little-endian parameter and moment tensors in declaration order; the
-    file appears whole or not at all."""
+    """Write magic, version, architecture, seed, Adam step, then the raw
+    little-endian parameter tensors in declaration order; the file appears
+    whole or not at all. The Adam step is informational: no reader uses it,
+    and the moments are not written."""
     desc = _describe_arch(model).encode()
     le = np.dtype(model.dtype).newbyteorder("<")
     with atomic_write(path) as fh:
@@ -582,7 +597,7 @@ def save_checkpoint(model: CnnModel, path: str | Path) -> None:
         fh.write(desc)
         fh.write(hashlib.sha256(desc).digest())
         fh.write(struct.pack("<qq", model.seed, model.adam.step))
-        for tensor in [*model.params, *model.adam.m, *model.adam.v]:
+        for tensor in model.params:
             fh.write(np.ascontiguousarray(tensor, dtype=le).data)
 
 
@@ -591,7 +606,8 @@ def load_checkpoint(
     expected_layers: tuple[LayerSpec, ...] | None = None,
     expected_input_shape: tuple[int, int] | None = None,
 ) -> CnnModel:
-    """Inverse of save_checkpoint; bitwise-exact round trip.
+    """Inverse of save_checkpoint for scoring: the parameters round-trip
+    bitwise-exact, and the model gets a fresh Adam state as from model_init.
 
     When an expected architecture is given, a checkpoint from any other
     network is rejected with CheckpointError. Every CheckpointError names
@@ -624,7 +640,10 @@ def _decode_checkpoint(
         raise CheckpointError("bad magic bytes; not a checkpoint file")
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(
+            f"unsupported checkpoint version {version} (this program reads "
+            f"version {CHECKPOINT_VERSION})"
+        )
     (itemsize,) = struct.unpack("<B", take(1, "dtype"))
     if itemsize == 4:
         dtype = np.dtype(np.float32)
@@ -645,30 +664,12 @@ def _decode_checkpoint(
             f"checkpoint input shape {input_shape} != {tuple(expected_input_shape)}"
         )
     (seed,) = struct.unpack("<q", take(8, "seed"))
-    (step,) = struct.unpack("<q", take(8, "adam step"))
-    shapes = [shape for shape, _ in _param_shapes(layers, input_shape)]
+    take(8, "adam step")
     le = dtype.newbyteorder("<")
-
-    def read_group(what: str) -> list[np.ndarray]:
-        tensors = []
-        for shape in shapes:
-            n = int(np.prod(shape))
-            chunk = take(n * itemsize, what)
-            tensors.append(
-                np.frombuffer(chunk, dtype=le).astype(dtype).reshape(shape)
-            )
-        return tensors
-
-    params = read_group("parameters")
-    m = read_group("first moments")
-    v = read_group("second moments")
+    params = []
+    for shape, _ in _param_shapes(layers, input_shape):
+        chunk = take(int(np.prod(shape)) * itemsize, "parameters")
+        params.append(np.frombuffer(chunk, dtype=le).astype(dtype).reshape(shape))
     if pos != len(data):
         raise CheckpointError(f"{len(data) - pos} trailing bytes in checkpoint")
-    return CnnModel(
-        layers=layers,
-        input_shape=input_shape,
-        params=params,
-        adam=AdamState(step=step, m=m, v=v),
-        seed=seed,
-        dtype=dtype,
-    )
+    return _model(layers, input_shape, params, seed, dtype)

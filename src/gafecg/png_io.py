@@ -9,9 +9,10 @@ doing it; stored blocks cost a copy and files about 49 % larger. Filter 0
 is kept because the benchmark's independent reader
 (``perfbench/checks.py:read_png``) accepts nothing else.
 
-The reader handles any 8-bit grayscale non-interlaced PNG, including all
-five standard row filters. Images whose rows all use filter 0, which is
-what the writer emits, are decoded with one reshape and copy.
+The reader takes the 8-bit grayscale non-interlaced PNGs whose rows all
+use filter 0, which is what the writer emits, and decodes them with one
+reshape and copy. A file with any other row filter (Pillow and most
+encoders filter their rows) is refused with ParseError.
 """
 from __future__ import annotations
 
@@ -55,51 +56,9 @@ def write_gray_png(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(data)
 
 
-def _unfilter(rows: np.ndarray, path: str | Path) -> np.ndarray:
-    """Undo the row filters of ``rows``, one filter byte then ``width`` bytes each."""
-    if not rows[:, 0].any():  # every row uses filter 0
-        return rows[:, 1:].copy()
-    height, stride = rows.shape
-    width = stride - 1
-    out = np.zeros((height, width), dtype=np.uint8)
-    prev = np.zeros(width, dtype=np.int32)
-    for row in range(height):
-        ftype = rows[row, 0]
-        cur = rows[row, 1:].astype(np.int32)
-        if ftype == 0:
-            pass
-        elif ftype == 1:  # Sub
-            for i in range(1, width):
-                cur[i] = (cur[i] + cur[i - 1]) & 0xFF
-        elif ftype == 2:  # Up
-            cur = (cur + prev) & 0xFF
-        elif ftype == 3:  # Average
-            for i in range(width):
-                left = cur[i - 1] if i else 0
-                cur[i] = (cur[i] + (left + prev[i]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(width):
-                a = int(cur[i - 1]) if i else 0
-                b = int(prev[i])
-                c = int(prev[i - 1]) if i else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                if pa <= pb and pa <= pc:
-                    pred = a
-                elif pb <= pc:
-                    pred = b
-                else:
-                    pred = c
-                cur[i] = (cur[i] + pred) & 0xFF
-        else:
-            raise ParseError(f"{path}: unsupported row filter {ftype}")
-        out[row] = cur.astype(np.uint8)
-        prev = cur
-    return out
-
-
 def read_gray_png(path: str | Path) -> np.ndarray:
-    """Read an 8-bit grayscale non-interlaced PNG into a 2-D uint8 array."""
+    """Read an 8-bit grayscale non-interlaced PNG, every row filter 0, into
+    a 2-D uint8 array."""
     data = Path(path).read_bytes()
     if not data.startswith(PNG_SIGNATURE):
         raise ParseError(f"{path}: not a PNG file")
@@ -146,4 +105,9 @@ def read_gray_png(path: str | Path) -> np.ndarray:
             f"{path}: decompressed length {len(raw)} != {stride * height} "
             f"for {width}x{height}"
         )
-    return _unfilter(np.frombuffer(raw, dtype=np.uint8).reshape(height, stride), path)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride)
+    filters = rows[:, 0]
+    if filters.any():
+        ftype = filters[filters != 0][0]
+        raise ParseError(f"{path}: unsupported row filter {ftype}; only filter 0 is read")
+    return rows[:, 1:].copy()

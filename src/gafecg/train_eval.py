@@ -16,7 +16,6 @@ recovered, specificity counts healthy beats recovered.
 """
 from __future__ import annotations
 
-import copy
 import ctypes
 import functools
 import logging
@@ -300,7 +299,7 @@ def train_fold(
     )
     images, labels = variant.images, variant.labels
     best_val = np.inf
-    best_state: tuple | None = None
+    best_params: list[np.ndarray] | None = None
     stale = 0
     curve: list[EpochStats] = []
     epochs_run = 0
@@ -324,17 +323,14 @@ def train_fold(
         curve.append(EpochStats(epoch, train_loss, val_loss, train_acc, val_acc))
         if val_loss < best_val:
             best_val = val_loss
-            best_state = (
-                [p.copy() for p in model.params],
-                copy.deepcopy(model.adam),
-            )
+            best_params = [p.copy() for p in model.params]
             stale = 0
         else:
             stale += 1
             if stale >= hyper.patience:
                 break
-    if best_state is not None:
-        model.params, model.adam = best_state
+    if best_params is not None:
+        model.params = best_params
 
     counts, metrics = evaluate(
         model, images[test_idx], labels[test_idx], hyper.batch_size

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gafecg import cli, gaf_encode, train_eval
+from gafecg import cli, cnn, gaf_encode, train_eval
 from gafecg.cli import main
 from gafecg.errors import PipelineError, UndefinedMetric
 from gafecg.gaf_encode import MANIFEST_FIELDS, encode_beat
@@ -351,6 +351,40 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", str(tmp_path / "o"), "--variant", "ds7"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "--batch=0", "--batch=-1", "--epochs=0", "--epochs=-2",
+            "--patience=0", "--lr=0", "--lr=-0.001", "--lr=nan",
+        ],
+    )
+    def test_out_of_range_training_setting_is_usage_error(
+        self, pipeline_run, tmp_path, capsys, setting
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run[0] / "encode", out / "encode")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(out), "--variant", "ds1", setting])
+        assert exc.value.code == 2
+        option = setting.split("=")[0]
+        assert f"argument {option}: must be > 0" in capsys.readouterr().err
+        assert not (out / "train").exists()
+
+    def test_checkpoint_of_an_older_format_fails_in_one_line(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        argv = _copy_run(pipeline_run, tmp_path / "out")
+        checkpoint = tmp_path / "out" / "train" / "ds1" / "ds1_fold00.ckpt"
+        data = bytearray(checkpoint.read_bytes())
+        data[8:12] = struct.pack("<I", 1)  # the version field, after the magic
+        checkpoint.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", *argv[1:], "--force"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: unsupported checkpoint version 1 "
+            "(this program reads version 2)\n"
+        )
 
 
 def _rename_column(old, new):
@@ -770,6 +804,16 @@ class TestPerfbenchContract:
         for name, workload in workloads.WORKLOADS.items():
             for module, attr, _ in workload.boundaries:
                 assert callable(getattr(module, attr, None)), (name, module.__name__, attr)
+
+    def test_reference_reader_finds_the_parameters(self, workloads, tmp_path):
+        # perfbench reads a checkpoint's parameters at a fixed offset after
+        # the descriptor; a moved header field scores different weights.
+        model = cnn.model_init(seed=5)
+        path = tmp_path / "model.ckpt"
+        cnn.save_checkpoint(model, path)
+        images = np.random.default_rng(5).integers(0, 256, (3, 128, 128), dtype=np.uint8)
+        reference = workloads.checks.reference_probs(path.read_bytes(), images)
+        workloads.checks.check_probs(cnn.forward(model, images)[0], reference, "model")
 
     def test_encode_calls_are_sized(
         self, workloads, pipeline_run, tmp_path, capsys, monkeypatch

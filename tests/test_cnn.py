@@ -65,12 +65,10 @@ class TestArchitecture:
         with pytest.raises(ShapeError):
             layer_output_shapes((Dense(4, "relu"), Conv(4, 3, "same")), (8, 8))
 
-    @pytest.mark.parametrize(
-        "pool", [Pool(2, 1), Pool(3, 2), Pool(0, 0), Pool(17, 17)]
-    )
+    @pytest.mark.parametrize("pool", [Pool(0), Pool(17)])
     def test_pool_needs_non_overlapping_windows(self, pool):
         layers = (Conv(2, 3, "same"), pool, Dense(2, "sigmoid"))
-        with pytest.raises(ShapeError, match="stride == size"):
+        with pytest.raises(ShapeError, match="size in 1..16"):
             model_init(seed=0, layers=layers, input_shape=(16, 16))
 
 
@@ -558,13 +556,15 @@ class TestCheckpoints:
         assert restored.input_shape == model.input_shape
         assert restored.seed == model.seed
         assert restored.dtype == model.dtype
-        assert restored.adam.step == model.adam.step
-        for a, b in zip(model.params, restored.params):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(model.adam.m, restored.adam.m):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(model.adam.v, restored.adam.v):
-            np.testing.assert_array_equal(a, b)
+        assert all(_same_bytes(a, b) for a, b in zip(model.params, restored.params))
+        # The moments are not saved: a loaded model starts Adam afresh.
+        fresh = _small_model(seed=4)
+        assert restored.adam.step == fresh.adam.step == 0
+        for group, fresh_group in (
+            (restored.adam.m, fresh.adam.m),
+            (restored.adam.v, fresh.adam.v),
+        ):
+            assert all(_same_bytes(a, b) for a, b in zip(group, fresh_group))
 
     def test_restored_model_predicts_identically(self, rng, tmp_path):
         model = _trained_small(rng)
@@ -575,22 +575,6 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             forward(model, images)[0], forward(restored, images)[0]
         )
-
-    def test_restored_model_takes_the_same_adam_steps(self, rng, tmp_path):
-        model = _trained_small(rng)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        restored = load_checkpoint(path)
-        for _ in range(2):
-            grads = [rng.standard_normal(p.shape) for p in model.params]
-            adam_step(model, grads)
-            adam_step(restored, grads)
-        for group, restored_group in (
-            (model.params, restored.params),
-            (model.adam.m, restored.adam.m),
-            (model.adam.v, restored.adam.v),
-        ):
-            assert all(_same_bytes(a, b) for a, b in zip(group, restored_group))
 
     def test_float32_round_trip(self, tmp_path):
         model = model_init(

@@ -1,4 +1,5 @@
 """Grayscale PNG writer/reader tests."""
+import re
 import struct
 import tempfile
 import zlib
@@ -19,50 +20,6 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
         + tag
         + payload
         + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-    )
-
-
-def _png_bytes(pixels: np.ndarray, row_filters) -> bytes:
-    """Build a grayscale PNG applying the given forward filter per row."""
-    height, width = pixels.shape
-    px = pixels.astype(np.int32)
-    rows = []
-    prev = np.zeros(width, dtype=np.int32)
-    for r in range(height):
-        cur = px[r]
-        ftype = row_filters[r % len(row_filters)]
-        if ftype == 0:
-            enc = cur.copy()
-        elif ftype == 1:  # Sub
-            enc = cur.copy()
-            enc[1:] = cur[1:] - cur[:-1]
-        elif ftype == 2:  # Up
-            enc = cur - prev
-        elif ftype == 3:  # Average
-            enc = cur.copy()
-            for i in range(width):
-                left = cur[i - 1] if i else 0
-                enc[i] = cur[i] - (left + prev[i]) // 2
-        elif ftype == 4:  # Paeth
-            enc = cur.copy()
-            for i in range(width):
-                a = int(cur[i - 1]) if i else 0
-                b = int(prev[i])
-                c = int(prev[i - 1]) if i else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                enc[i] = cur[i] - pred
-        else:
-            raise AssertionError(ftype)
-        rows.append(bytes([ftype]) + (enc & 0xFF).astype(np.uint8).tobytes())
-        prev = cur
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    return (
-        PNG_SIGNATURE
-        + _chunk(b"IHDR", ihdr)
-        + _chunk(b"IDAT", zlib.compress(b"".join(rows)))
-        + _chunk(b"IEND", b"")
     )
 
 
@@ -163,19 +120,6 @@ class TestStoredWriter:
 
 
 class TestRowFilters:
-    @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
-    def test_single_filter_decodes(self, ftype, rng, tmp_path):
-        pixels = rng.integers(0, 256, size=(9, 13), dtype=np.uint8)
-        path = tmp_path / f"f{ftype}.png"
-        path.write_bytes(_png_bytes(pixels, [ftype]))
-        np.testing.assert_array_equal(read_gray_png(path), pixels)
-
-    def test_mixed_filters_decode(self, rng, tmp_path):
-        pixels = rng.integers(0, 256, size=(20, 8), dtype=np.uint8)
-        path = tmp_path / "mixed.png"
-        path.write_bytes(_png_bytes(pixels, [0, 1, 2, 3, 4]))
-        np.testing.assert_array_equal(read_gray_png(path), pixels)
-
     def test_filter_0_result_is_owned_and_writable(self, rng, tmp_path):
         pixels = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
         path = tmp_path / "f0.png"
@@ -186,24 +130,20 @@ class TestRowFilters:
         image[0, 0] ^= 0xFF
         np.testing.assert_array_equal(read_gray_png(path), pixels)
 
-    def test_filter_0_first_row_then_filters_1_to_4(self, rng, tmp_path):
-        pixels = rng.integers(0, 256, size=(9, 11), dtype=np.uint8)
-        path = tmp_path / "first0.png"
-        path.write_bytes(_png_bytes(pixels, [0, 1, 2, 3, 4, 1, 2, 3, 4]))
-        np.testing.assert_array_equal(read_gray_png(path), pixels)
-
-    def test_unknown_filter_rejected(self, rng, tmp_path):
+    @pytest.mark.parametrize("ftype", [1, 2, 3, 4, 5])
+    def test_nonzero_filter_rejected(self, ftype, rng, tmp_path):
+        # The writer emits filter 0 only; one other row is enough to refuse.
         pixels = rng.integers(0, 256, size=(3, 3), dtype=np.uint8)
-        raw = b"".join(b"\x05" + pixels[r].tobytes() for r in range(3))
+        raw = b"".join(bytes([ftype if r == 1 else 0]) + pixels[r].tobytes() for r in range(3))
         ihdr = struct.pack(">IIBBBBB", 3, 3, 8, 0, 0, 0, 0)
-        path = tmp_path / "f5.png"
+        path = tmp_path / f"f{ftype}.png"
         path.write_bytes(
             PNG_SIGNATURE
             + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", zlib.compress(raw))
             + _chunk(b"IEND", b"")
         )
-        with pytest.raises(ParseError, match="filter"):
+        with pytest.raises(ParseError, match=re.escape(f"{path}: unsupported row filter {ftype};")):
             read_gray_png(path)
 
 
@@ -216,13 +156,6 @@ class TestPillowInterop:
         with Image.open(path) as im:
             assert im.mode == "L"
             np.testing.assert_array_equal(np.asarray(im), pixels)
-
-    def test_we_read_pillow_output(self, rng, tmp_path):
-        Image = pytest.importorskip("PIL.Image")
-        pixels = rng.integers(0, 256, size=(48, 64), dtype=np.uint8)
-        path = tmp_path / "pillow.png"
-        Image.fromarray(pixels, mode="L").save(path)
-        np.testing.assert_array_equal(read_gray_png(path), pixels)
 
 
 class TestMalformedFiles:

@@ -58,8 +58,8 @@ class TestSaveCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         before = path.read_bytes()
-        # The last moment tensor cannot be written, after every other one has been.
-        model.adam.v[-1] = np.array([object()], dtype=object)
+        # The last parameter tensor cannot be written, after every other one has been.
+        model.params[-1] = np.array([object()], dtype=object)
         with pytest.raises(TypeError):
             save_checkpoint(model, path)
         assert path.read_bytes() == before

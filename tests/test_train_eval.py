@@ -296,7 +296,7 @@ class TestTrainFold:
         self, variant, tmp_path, monkeypatch
     ):
         # Epoch 1 has the lowest validation loss; epochs 2 and 3 still update
-        # the parameters and moments in place before the checkpoint is saved.
+        # the parameters in place before the checkpoint is saved.
         seen = []
 
         def fake_eval_split(model, images, labels, batch):
@@ -312,15 +312,9 @@ class TestTrainFold:
         )
         assert result.epochs_run == 3
         best, last = seen[0], seen[-1]
-        assert last.adam.step > best.adam.step
+        assert [t.tobytes() for t in last.params] != [t.tobytes() for t in best.params]
         saved = load_checkpoint(result.checkpoint_path)
-        assert saved.adam.step == best.adam.step
-        for group, best_group in (
-            (saved.params, best.params),
-            (saved.adam.m, best.adam.m),
-            (saved.adam.v, best.adam.v),
-        ):
-            assert [t.tobytes() for t in group] == [t.tobytes() for t in best_group]
+        assert [t.tobytes() for t in saved.params] == [t.tobytes() for t in best.params]
 
     def test_deterministic_re_run(self, trained):
         variant, plan, result = trained
