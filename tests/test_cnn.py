@@ -65,7 +65,9 @@ class TestArchitecture:
         with pytest.raises(ShapeError):
             layer_output_shapes((Dense(4, "relu"), Conv(4, 3, "same")), (8, 8))
 
-    @pytest.mark.parametrize("pool", [Pool(0), Pool(17)])
+    @pytest.mark.parametrize(
+        "pool", [Pool(-1), Pool(32), Pool(0), Pool(17)]
+    )
     def test_pool_needs_non_overlapping_windows(self, pool):
         layers = (Conv(2, 3, "same"), pool, Dense(2, "sigmoid"))
         with pytest.raises(ShapeError, match="size in 1..16"):
