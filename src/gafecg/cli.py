@@ -31,12 +31,12 @@ import numpy as np
 
 from . import cnn, train_eval
 from .errors import PipelineError
-from .gaf_encode import encode_beats, safe_name, write_images, write_manifest
-from .qrs_segment import Beat, pan_tompkins, segment_beats
+from .gaf_encode import encode_beats, manifest_rows, safe_name, write_images, write_manifest
+from .qrs_segment import pan_tompkins, segment_beats
 from .signal_prep import denoise
 from .tables import atomic_write, read_table, write_table
 from .train_eval import Hyperparams, VARIANTS
-from .wfdb_ingest import EcgRecord, Label, load_record, scan_dataset
+from .wfdb_ingest import EcgRecord, Label, load_record, scan_dataset, subject_of
 
 LEAD = "ii"
 FOLDS = 10
@@ -63,10 +63,10 @@ class PipelineConfig:
     variant: str = "all"  # ds1..ds4 | all
     split: str = "beat"  # beat | patient
     seed: int = 0
-    learning_rate: float = 0.001
-    batch_size: int = 8
-    max_epochs: int = 50
-    patience: int = 5
+    learning_rate: float = Hyperparams.learning_rate
+    batch_size: int = Hyperparams.batch_size
+    max_epochs: int = Hyperparams.max_epochs
+    patience: int = Hyperparams.patience
     inferior_only: bool = False
     force: bool = False
 
@@ -237,7 +237,7 @@ def stage_ingest(cfg: PipelineConfig, out: Path, _: None) -> None:
     for record_id, label in result.labeled:
         by_label[label].append(record_id)
     subjects = {
-        label: len({rid.split("/")[0] for rid in rids})
+        label: len({subject_of(rid) for rid in rids})
         for label, rids in by_label.items()
     }
     lines = [
@@ -356,41 +356,30 @@ def stage_encode(cfg: PipelineConfig, out: Path, variant_id: str) -> None:
             f"{beats_csv} has {len(meta)} rows but {beats_npy} has "
             f"{len(samples)} beats"
         )
-    rows = _encode_and_write(meta, samples, kind, out, noise_variant)
+    rows = manifest_rows(meta, kind, noise_variant)
+    _encode_and_write(samples, [row["path"] for row in rows], kind, out)
     write_manifest(rows, out)
     print(f"[encode:{variant_id}] {len(rows)} images ({noise_variant}, {kind})")
 
 
-def _encode_and_write(
-    meta: list[dict], samples: np.ndarray, kind: str, out: Path, noise_variant: str
-) -> list[dict]:
+def _encode_and_write(samples: np.ndarray, names: list[str], kind: str, out: Path) -> None:
     """Encode the beats ENCODE_CHUNK at a time on this thread while one writer
-    thread writes the previous chunk's PNGs; returns every image's manifest
-    row. A failure raised is the one encoding and writing chunk by chunk in
-    turn would meet first, and the writer has finished when this returns."""
-    rows: list[dict] = []
+    thread writes the previous chunk's PNGs under ``names``. A failure raised
+    is the one encoding and writing chunk by chunk in turn would meet first,
+    and the writer has finished when this returns."""
     pending = None
     with ThreadPoolExecutor(max_workers=1) as writer:
-        for start in range(0, len(meta), ENCODE_CHUNK):
+        for start in range(0, len(samples), ENCODE_CHUNK):
+            chunk = slice(start, start + ENCODE_CHUNK)
             try:
-                beats = [
-                    Beat(
-                        samples=samples[i].astype(np.float64),
-                        source_record=meta[i]["record_id"],
-                        r_peak_index=meta[i]["r_peak_index"],
-                        label=meta[i]["label"],
-                    )
-                    for i in range(start, min(start + ENCODE_CHUNK, len(meta)))
-                ]
-                images = encode_beats(beats, kind)
+                images = encode_beats(samples[chunk], kind)
             finally:
                 # The previous chunk's write comes first: its error wins.
                 if pending is not None:
-                    rows += pending.result()
-            pending = writer.submit(write_images, images, out, noise_variant=noise_variant)
+                    pending.result()
+            pending = writer.submit(write_images, images, names[chunk], out)
         if pending is not None:
-            rows += pending.result()
-    return rows
+            pending.result()
 
 
 @_stage
@@ -417,11 +406,9 @@ def stage_eval(cfg: PipelineConfig, out: Path, variant_id: str) -> None:
     plan = train_eval.make_folds(variant, k=FOLDS, seed=cfg.seed, split=cfg.split)
     rescored = []
     for result in trained:
-        checkpoint = _require(
-            train_dir / f"{variant_id}_fold{result.fold:02d}.ckpt", "train"
-        )
+        checkpoint = train_dir / train_eval.checkpoint_name(variant_id, result.fold)
         model = cnn.load_checkpoint(
-            checkpoint, expected_layers=cnn.classifier_layers()
+            _require(checkpoint, "train"), expected_layers=cnn.classifier_layers()
         )
         test_idx = np.nonzero(plan.assignments == result.fold)[0]
         counts, metrics = train_eval.evaluate(
@@ -505,10 +492,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="fold assignment granularity",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lr", type=_positive(float), default=0.001, dest="learning_rate")
-        p.add_argument("--batch", type=_positive(int), default=8, dest="batch_size")
-        p.add_argument("--epochs", type=_positive(int), default=50, dest="max_epochs")
-        p.add_argument("--patience", type=_positive(int), default=5)
+        p.add_argument("--lr", type=_positive(float), default=Hyperparams.learning_rate,
+                       dest="learning_rate")
+        p.add_argument("--batch", type=_positive(int), default=Hyperparams.batch_size,
+                       dest="batch_size")
+        p.add_argument("--epochs", type=_positive(int), default=Hyperparams.max_epochs,
+                       dest="max_epochs")
+        p.add_argument("--patience", type=_positive(int), default=Hyperparams.patience)
         p.add_argument(
             "--inferior-only",
             action="store_true",

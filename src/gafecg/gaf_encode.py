@@ -5,10 +5,13 @@ rescaled to [-1, 1], mapped to polar angles phi = arccos(x), and expanded
 into a 128x128 matrix: the summation field cos(phi_i + phi_j) or the
 difference field sin(phi_i - phi_j). The matrix is quantized to uint8 for
 storage as a grayscale image.
+
+``encode_beats`` encodes the rows of a beat array, ``image_name`` names each
+image's PNG, ``write_images`` writes the PNGs, and ``manifest_rows`` and
+``write_manifest`` index them in ``manifest.csv``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,21 +86,6 @@ def safe_name(record_id: str) -> str:
     return record_id.replace("/", "__")
 
 
-@dataclass
-class GafImage:
-    """One encoded beat ready to store as a grayscale PNG."""
-
-    pixels: np.ndarray  # (IMAGE_SIZE, IMAGE_SIZE) uint8
-    kind: str  # "gasf" | "gadf"
-    label: str  # "healthy" | "mi"
-    record_id: str
-    r_peak_index: int
-
-    @property
-    def file_name(self) -> str:
-        return f"{safe_name(self.record_id)}_r{self.r_peak_index:07d}_{self.kind}.png"
-
-
 def encode_series(samples: np.ndarray, kind: str) -> np.ndarray:
     """Encode one series into a quantized IMAGE_SIZE x IMAGE_SIZE uint8 field."""
     if kind not in GAF_KINDS:
@@ -107,47 +95,35 @@ def encode_series(samples: np.ndarray, kind: str) -> np.ndarray:
     return quantize(field)
 
 
-def encode_beat(beat, kind: str) -> GafImage:
-    """Encode a segmented beat (``gafecg.qrs_segment.Beat``)."""
-    return GafImage(
-        pixels=encode_series(beat.samples, kind),
-        kind=kind,
-        label=beat.label,
-        record_id=beat.source_record,
-        r_peak_index=int(beat.r_peak_index),
-    )
+def encode_beats(samples: np.ndarray, kind: str) -> list[np.ndarray]:
+    """Encode each row of an (N, beat length) array, in order."""
+    return [encode_series(row, kind) for row in samples]
 
 
-def encode_beats(beats, kind: str) -> list[GafImage]:
-    """Encode many beats, in input order."""
-    return [encode_beat(b, kind) for b in beats]
+def image_name(record_id: str, r_peak_index: int, kind: str) -> str:
+    """The PNG file name of the ``kind`` image of the beat at ``r_peak_index``."""
+    return f"{safe_name(record_id)}_r{r_peak_index:07d}_{kind}.png"
 
 
 MANIFEST_FIELDS = ["path", "label", "record_id", "r_peak_index", "kind", "noise_variant"]
 
 
-def write_images(images, out_dir: str | Path, noise_variant: str = "noisy") -> list[dict]:
-    """Write one PNG per image into ``out_dir``; returns their manifest rows,
-    in input order.
+def manifest_rows(beats: list[dict], kind: str, noise_variant: str) -> list[dict]:
+    """The manifest row of the ``kind`` image of each beat row (its
+    ``record_id``, ``label`` and ``r_peak_index``), in order; ``noise_variant``
+    is "noisy" for beats of raw signals, "clean" for denoised ones."""
+    return [
+        {**beat, "path": image_name(beat["record_id"], beat["r_peak_index"], kind),
+         "kind": kind, "noise_variant": noise_variant}
+        for beat in beats
+    ]
 
-    ``noise_variant`` records whether the beats came from raw ("noisy") or
-    denoised ("clean") signals.
-    """
+
+def write_images(images: list[np.ndarray], names: list[str], out_dir: str | Path) -> None:
+    """Write each image as the PNG of the same position in ``names`` in ``out_dir``."""
     out_dir = Path(out_dir)
-    rows = []
-    for image in images:
-        write_gray_png(out_dir / image.file_name, image.pixels)
-        rows.append(
-            {
-                "path": image.file_name,
-                "label": image.label,
-                "record_id": image.record_id,
-                "r_peak_index": image.r_peak_index,
-                "kind": image.kind,
-                "noise_variant": noise_variant,
-            }
-        )
-    return rows
+    for pixels, name in zip(images, names, strict=True):
+        write_gray_png(out_dir / name, pixels)
 
 
 def write_manifest(rows, out_dir: str | Path) -> Path:

@@ -34,6 +34,7 @@ from .errors import BuildError, InvalidFoldCount, PipelineError, UndefinedMetric
 from .gaf_encode import MANIFEST_FIELDS
 from .png_io import read_gray_png
 from .tables import read_table, write_table
+from .wfdb_ingest import subject_of
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +77,6 @@ class DatasetItem:  # one manifest row: its fields are MANIFEST_FIELDS, in order
 @dataclass
 class DatasetVariant:
     variant_id: str
-    noise_variant: str
-    kind: str
     items: list[DatasetItem]
     images: np.ndarray  # (N, H, W) uint8
     labels: np.ndarray  # (N,) int, LABEL_TO_CLASS values
@@ -87,8 +86,6 @@ class DatasetVariant:
 class FoldPlan:
     k: int
     assignments: np.ndarray  # item index -> fold number
-    split: str  # "beat" | "patient"
-    seed: int
 
 
 @dataclass
@@ -138,14 +135,13 @@ def load_variant(encode_dir: str | Path, variant_id: str) -> DatasetVariant:
     encode_dir = Path(encode_dir)
     manifest = encode_dir / "manifest.csv"
     rows = read_table(manifest, MANIFEST_FIELDS, "encode", parse={"r_peak_index": int})
-    items = [
-        DatasetItem(**row) for row in rows
-        if row["kind"] == kind and row["noise_variant"] == noise_variant
-    ]
-    if not items:
-        raise BuildError(
-            f"{manifest}: no items for kind={kind!r}, noise={noise_variant!r}"
-        )
+    for line, row in enumerate(rows, start=2):
+        if (row["noise_variant"], row["kind"]) != (noise_variant, kind):
+            raise BuildError(
+                f"{manifest} line {line}: kind {row['kind']!r}, noise "
+                f"{row['noise_variant']!r}; {variant_id} is {kind!r}, {noise_variant!r}"
+            )
+    items = [DatasetItem(**row) for row in rows]
     missing = [encode_dir / it.path for it in items if not (encode_dir / it.path).is_file()]
     if missing:
         shown = ", ".join(map(str, missing[:5]))
@@ -166,14 +162,7 @@ def load_variant(encode_dir: str | Path, variant_id: str) -> DatasetVariant:
                 f"but {encode_dir / items[0].path} is {h0}x{w0}"
             )
     images = np.stack(images)
-    return DatasetVariant(
-        variant_id=variant_id,
-        noise_variant=noise_variant,
-        kind=kind,
-        items=items,
-        images=images,
-        labels=labels,
-    )
+    return DatasetVariant(variant_id=variant_id, items=items, images=images, labels=labels)
 
 
 def make_folds(
@@ -196,8 +185,8 @@ def make_folds(
         order = rng.permutation(n)
         assignments[order] = np.arange(n) % k
     elif split == "patient":
-        subject_of = [it.record_id.split("/")[0] for it in variant.items]
-        subjects = sorted(set(subject_of))
+        subject_ids = [subject_of(it.record_id) for it in variant.items]
+        subjects = sorted(set(subject_ids))
         if k > len(subjects):
             n_records = len({it.record_id for it in variant.items})
             raise InvalidFoldCount(
@@ -205,10 +194,10 @@ def make_folds(
             )
         order = rng.permutation(len(subjects))
         fold_of = {subjects[r]: int(pos % k) for pos, r in enumerate(order)}
-        assignments[:] = [fold_of[subject] for subject in subject_of]
+        assignments[:] = [fold_of[subject] for subject in subject_ids]
     else:
         raise InvalidFoldCount(f"unknown split mode {split!r}")
-    return FoldPlan(k=k, assignments=assignments, split=split, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def confusion(labels: np.ndarray, predicted: np.ndarray) -> ConfusionCounts:
@@ -264,6 +253,11 @@ def _eval_split(
     return float(cnn.loss(probs, labels)), float(np.mean(predicted == labels))
 
 
+def checkpoint_name(variant_id: str, fold: int) -> str:
+    """The file name of a fold's checkpoint in the train stage's directory."""
+    return f"{variant_id}_fold{fold:02d}.ckpt"
+
+
 def train_fold(
     variant: DatasetVariant,
     plan: FoldPlan,
@@ -272,7 +266,6 @@ def train_fold(
     seed: int = 0,
     out_dir: str | Path | None = None,
     layers=None,
-    input_shape: tuple[int, int] | None = None,
 ) -> FoldResult:
     """Train on one fold's complement and score the held-out fold."""
     if not 0 <= fold < plan.k:
@@ -285,17 +278,13 @@ def train_fold(
     rng = np.random.Generator(np.random.PCG64(fold_seed))
     pool = rng.permutation(pool_idx)
     n_val = max(1, int(round(0.2 * len(pool))))
-    if len(pool) - n_val < 1:
-        raise BuildError(f"fold {fold}: not enough items for a train/val split")
     val_idx = pool[:n_val]
     train_idx = pool[n_val:]
 
-    if input_shape is None:
-        input_shape = variant.images.shape[1:3]
     model = cnn.model_init(
         seed=fold_seed,
         layers=layers if layers is not None else cnn.classifier_layers(),
-        input_shape=input_shape,
+        input_shape=variant.images.shape[1:3],
     )
     images, labels = variant.images, variant.labels
     best_val = np.inf
@@ -339,7 +328,7 @@ def train_fold(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint_path = out_dir / f"{variant.variant_id}_fold{fold:02d}.ckpt"
+        checkpoint_path = out_dir / checkpoint_name(variant.variant_id, fold)
         cnn.save_checkpoint(model, checkpoint_path)
     logger.info(
         "%s fold %d: acc=%.2f sen=%.2f spe=%.2f (%d epochs)",
@@ -429,7 +418,6 @@ def train_run(
     seed: int = 0,
     out_dir: str | Path | None = None,
     layers=None,
-    input_shape: tuple[int, int] | None = None,
 ) -> list[FoldResult]:
     """Train and score every fold; the results are in fold order.
 
@@ -442,7 +430,7 @@ def train_run(
     folds are cancelled and every worker has exited. Ctrl-C, or the death
     of this process, ends every worker at once.
     """
-    kwargs = dict(hyper=hyper, seed=seed, out_dir=out_dir, layers=layers, input_shape=input_shape)
+    kwargs = dict(hyper=hyper, seed=seed, out_dir=out_dir, layers=layers)
     # fork, not spawn, so the workers share the images instead of loading or
     # unpickling a copy each; the stages start no thread that outlives them.
     pool = ProcessPoolExecutor(

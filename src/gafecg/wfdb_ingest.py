@@ -353,6 +353,11 @@ def scan_dataset(
     return ScanResult(labeled=labeled, skipped=skipped)
 
 
+def subject_of(record_id: str) -> str:
+    """The subject of a record id ("subject/record")."""
+    return record_id.split("/")[0]
+
+
 def adc_quantize(samples_mv: np.ndarray, gain: float, baseline: int) -> np.ndarray:
     """Convert millivolts to int16 ADC units; exact inverse of decoding."""
     adc = np.rint(np.asarray(samples_mv, dtype=np.float64) * gain + baseline)

@@ -451,8 +451,6 @@ def _synthetic_variant(per_class: int) -> DatasetVariant:
             )
     return DatasetVariant(
         variant_id="ds1",
-        noise_variant="noisy",
-        kind="gasf",
         items=items,
         images=np.stack(pixels),
         labels=np.array(labels),

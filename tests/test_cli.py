@@ -22,9 +22,8 @@ import pytest
 from gafecg import cli, cnn, gaf_encode, train_eval
 from gafecg.cli import main
 from gafecg.errors import PipelineError, UndefinedMetric
-from gafecg.gaf_encode import MANIFEST_FIELDS, encode_beat
+from gafecg.gaf_encode import MANIFEST_FIELDS, encode_series, image_name
 from gafecg.png_io import PNG_SIGNATURE, read_gray_png, write_gray_png
-from gafecg.qrs_segment import Beat
 from gafecg.synthetic import synth_ecg
 from gafecg.train_eval import (
     ConfusionCounts,
@@ -575,13 +574,9 @@ class TestChunkedEncode:
             expected.mkdir(parents=True)
             rows = []
             for row, beat in zip(meta, samples):
-                image = encode_beat(
-                    Beat(beat.astype(np.float64), row["record_id"],
-                         int(row["r_peak_index"]), row["label"]),
-                    kind,
-                )
-                write_gray_png(expected / image.file_name, image.pixels)
-                rows.append([image.file_name, row["label"], row["record_id"],
+                name = image_name(row["record_id"], int(row["r_peak_index"]), kind)
+                write_gray_png(expected / name, encode_series(beat, kind))
+                rows.append([name, row["label"], row["record_id"],
                              row["r_peak_index"], kind, noise])
             with open(expected / "manifest.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)

@@ -11,12 +11,12 @@ from gafecg.gaf_encode import (
     GAF_KINDS,
     IMAGE_SIZE,
     MANIFEST_FIELDS,
-    GafImage,
-    encode_beat,
     encode_beats,
     encode_series,
     gadf,
     gasf,
+    image_name,
+    manifest_rows,
     minmax_rescale,
     paa_downsample,
     quantize,
@@ -25,7 +25,6 @@ from gafecg.gaf_encode import (
     write_manifest,
 )
 from gafecg.png_io import read_gray_png
-from gafecg.qrs_segment import Beat
 
 finite_series = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -226,43 +225,41 @@ class TestEncodeSeries:
 
 
 def _beats(rng, n):
-    return [
-        Beat(
-            samples=rng.normal(size=651),
-            source_record=f"patient{i:03d}/s{i:04d}",
-            r_peak_index=1000 + 7 * i,
-            label="mi" if i % 2 else "healthy",
-        )
+    """``n`` stored beats: their float32 samples and their beat-table rows."""
+    samples = rng.normal(size=(n, 651)).astype(np.float32)
+    rows = [
+        {
+            "record_id": f"patient{i:03d}/s{i:04d}",
+            "label": "mi" if i % 2 else "healthy",
+            "r_peak_index": 1000 + 7 * i,
+        }
         for i in range(n)
     ]
+    return samples, rows
 
 
 class TestEncodeBeats:
-    def test_metadata_carried_through(self, rng):
-        beat = _beats(rng, 1)[0]
-        image = encode_beat(beat, "gadf")
-        assert image.kind == "gadf"
-        assert image.label == beat.label
-        assert image.record_id == beat.source_record
-        assert image.r_peak_index == beat.r_peak_index
+    def test_each_row_is_encode_series(self, rng):
+        samples, _ = _beats(rng, 5)
+        images = encode_beats(samples, "gadf")
+        assert len(images) == 5
+        for row, image in zip(samples, images):
+            np.testing.assert_array_equal(image, encode_series(row, "gadf"))
 
 
 class TestWriteImages:
-    def test_file_name_format(self):
-        image = GafImage(
-            pixels=np.zeros((2, 2), dtype=np.uint8),
-            kind="gasf",
-            label="mi",
-            record_id="patient001/s0010",
-            r_peak_index=42,
-        )
-        assert image.file_name == "patient001__s0010_r0000042_gasf.png"
+    def test_image_name_format(self):
+        assert image_name("patient001/s0010", 42, "gasf") == "patient001__s0010_r0000042_gasf.png"
 
     def test_manifest_and_pixels(self, rng, tmp_path):
-        images = encode_beats(_beats(rng, 6), "gasf")
+        samples, beats = _beats(rng, 6)
+        images = encode_beats(samples, "gasf")
+        rows = manifest_rows(beats, "gasf", "clean")
         (tmp_path / "enc").mkdir()
-        rows = write_images(images, tmp_path / "enc", noise_variant="clean")
-        assert [r["path"] for r in rows] == [i.file_name for i in images]
+        write_images(images, [r["path"] for r in rows], tmp_path / "enc")
+        assert [r["path"] for r in rows] == [
+            image_name(b["record_id"], b["r_peak_index"], "gasf") for b in beats
+        ]
         manifest = write_manifest(rows[::-1], tmp_path / "enc")
         with open(manifest, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -271,8 +268,13 @@ class TestWriteImages:
         assert [r["path"] for r in rows] == sorted(r["path"] for r in rows)
         assert {r["noise_variant"] for r in rows} == {"clean"}
         assert {r["kind"] for r in rows} == {"gasf"}
-        by_name = {i.file_name: i for i in images}
+        by_name = {
+            image_name(b["record_id"], b["r_peak_index"], "gasf"): (b, image)
+            for b, image in zip(beats, images)
+        }
         for row in rows:
-            pixels = read_gray_png(tmp_path / "enc" / row["path"])
-            np.testing.assert_array_equal(pixels, by_name[row["path"]].pixels)
-            assert by_name[row["path"]].label == row["label"]
+            beat, image = by_name[row["path"]]
+            np.testing.assert_array_equal(read_gray_png(tmp_path / "enc" / row["path"]), image)
+            assert beat["label"] == row["label"]
+            assert beat["record_id"] == row["record_id"]
+            assert str(beat["r_peak_index"]) == row["r_peak_index"]

@@ -9,7 +9,7 @@ import pytest
 from gafecg import train_eval
 from gafecg.cnn import load_checkpoint, reduced_layers
 from gafecg.errors import BuildError, InvalidFoldCount, UndefinedMetric
-from gafecg.gaf_encode import encode_beats, write_images, write_manifest
+from gafecg.gaf_encode import encode_beats, manifest_rows, write_images, write_manifest
 from gafecg.qrs_segment import RPeakList, segment_beats
 from gafecg.synthetic import synth_ecg
 from gafecg.train_eval import (
@@ -53,9 +53,15 @@ def encode_dir(tmp_path_factory):
         record = EcgRecord(f"patient{i:03d}/s{i:04d}", label, "ii", ecg.samples, 1000.0)
         result = segment_beats(record, RPeakList(ecg.r_indices, 1000.0))
         beats.extend(result.beats)
-    images = encode_beats(beats, "gasf")
+    rows = manifest_rows(
+        [{"record_id": b.source_record, "label": b.label, "r_peak_index": b.r_peak_index}
+         for b in beats],
+        "gasf", "noisy",
+    )
     out.mkdir()
-    write_manifest(write_images(images, out, noise_variant="noisy"), out)
+    images = encode_beats(np.stack([b.samples for b in beats]), "gasf")
+    write_images(images, [row["path"] for row in rows], out)
+    write_manifest(rows, out)
     return out
 
 
@@ -96,8 +102,6 @@ class TestLoadVariant:
         assert variant.images.shape == (n, 128, 128)
         assert variant.images.dtype == np.uint8
         assert set(variant.labels.tolist()) == {0, 1}
-        assert variant.noise_variant == "noisy"
-        assert variant.kind == "gasf"
 
     def test_labels_follow_manifest(self, variant):
         for item, cls in zip(variant.items, variant.labels):
@@ -126,8 +130,22 @@ class TestLoadVariant:
 
     def test_wrong_kind_for_variant_rejected(self, encode_dir):
         # The directory holds summation-field images only.
-        with pytest.raises(BuildError, match="no items"):
+        message = r"manifest.csv line 2: kind 'gasf', noise 'noisy'; ds2 is 'gadf', 'noisy'"
+        with pytest.raises(BuildError, match=message):
             load_variant(encode_dir, "ds2")
+
+    def test_one_foreign_row_rejected(self, encode_dir, tmp_path):
+        # A manifest mixing variants would otherwise train on a subset.
+        clone = tmp_path / "clone"
+        shutil.copytree(encode_dir, clone)
+        manifest = clone / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        assert lines[5].endswith(",gasf,noisy")
+        lines[5] = lines[5].removesuffix("noisy") + "clean"
+        manifest.write_text("\n".join(lines) + "\n")
+        message = r"manifest.csv line 6: kind 'gasf', noise 'clean'; ds1 is 'gasf', 'noisy'"
+        with pytest.raises(BuildError, match=message):
+            load_variant(clone, "ds1")
 
     def test_unknown_label_rejected(self, encode_dir, tmp_path):
         clone = tmp_path / "clone"
@@ -195,7 +213,7 @@ class TestMakeFolds:
             for i, rid in enumerate(record_ids)
         ]
         images = np.zeros((24, 2, 2), dtype=np.uint8)
-        variant = DatasetVariant("ds1", "noisy", "gasf", items, images, np.ones(24))
+        variant = DatasetVariant("ds1", items, images, np.ones(24))
         plan = make_folds(variant, k=4, seed=seed, split="patient")
         folds_per_subject = {}
         for rid, fold in zip(record_ids, plan.assignments):
