@@ -40,6 +40,8 @@ from .wfdb_ingest import EcgRecord, Label, load_record, scan_dataset, subject_of
 
 LEAD = "ii"
 FOLDS = 10
+# The largest --seed whose every fold seed fits a checkpoint's int64 seed field.
+MAX_SEED = (2**63 - 1 - (FOLDS - 1)) // train_eval.FOLD_SEED_STRIDE
 NOISE_VARIANTS = ("noisy", "clean")
 # Reference beat counts for a full-archive run, used in stage reports.
 REFERENCE_BEATS = {"healthy": 10139, "mi": 30128}
@@ -469,6 +471,17 @@ def _positive(cast):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed in 0..MAX_SEED."""
+    value = int(text)
+    if not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_SEED}, got {text}")
+    return value
+
+
+_seed.__name__ = "int"  # argparse names the type in its errors
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gafecg",
@@ -491,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=["beat", "patient"],
             help="fold assignment granularity",
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--lr", type=_positive(float), default=Hyperparams.learning_rate,
                        dest="learning_rate")
         p.add_argument("--batch", type=_positive(int), default=Hyperparams.batch_size,

@@ -5,17 +5,25 @@ conv/max-pool blocks (16, 32, 64, 128 channels), a 100-unit ReLU layer and
 a 2-unit sigmoid head. Forward and backward passes are written out
 explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
 
-- Convolutions are im2col GEMMs; the bias is added to the GEMM output in
-  place. A one-channel input (the image) is lowered with one strided copy
-  per kernel offset, a wider one with a sliding-window gather. The
-  backward pass multiplies the ReLU mask into the incoming gradient in
-  place and accumulates one GEMM per kernel offset into the padded input
-  gradient. A conv layer holding the first parameters computes no input
-  gradient: no parameter below uses it.
-- Max pooling takes the elementwise maximum of the size**2 strided slices
-  of its non-overlapping windows. With caches kept it also records the
-  first slice, in row-major window order, that holds the maximum, so the
-  gradient of a tie goes to the first tied cell, as with ``np.argmax``.
+- Convolutions are im2col GEMMs, lowered with a sliding-window gather;
+  the bias is added to the GEMM output in place. The backward pass
+  multiplies the ReLU mask into the incoming gradient in place and
+  accumulates one GEMM per kernel offset into the padded input gradient.
+  A conv layer holding the first parameters computes no input gradient:
+  no parameter below uses it.
+- That first conv, when a pool sits right above it, is lowered
+  cell-major: a (k*k, size**2 * B*hp*wp) im2col with one strided copy per
+  kernel offset, its columns ordered pool cell first. ``cols.T @ W`` then
+  returns each of the size**2 cells of every pool window as one
+  contiguous block, and conv outputs no window covers are never
+  computed. Its weight gradient is ``cols @ dz`` over the routed blocks,
+  and its bias gradient sums the pooled, masked delta, which has one row
+  per window.
+- Max pooling takes the elementwise maximum of the size**2 cells of its
+  non-overlapping windows: strided slices, or the blocks of a cell-major
+  conv. With caches kept it also records the first cell, in row-major
+  window order, that holds the maximum, so the gradient of a tie goes to
+  the first tied cell, as with ``np.argmax``.
 - A pool right above a conv is fused with the conv's ReLU: it pools the
   biased conv output with ``np.fmax`` and applies ReLU, and keeps its
   mask, at pooled size. ReLU is monotone, so the values, the winners (a
@@ -24,7 +32,9 @@ explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
   mask to the pooled gradient before routing it.
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 - Adam updates the moments and parameters in place, in the operation order
-  of the textbook formula, so the bytes equal an out-of-place update.
+  of the textbook formula, so the bytes equal an out-of-place update. It
+  walks each tensor in blocks of ADAM_BLOCK elements, so the arrays of one
+  block stay in cache across all the passes of the update.
 - A checkpoint holds the architecture, the seed and the parameters: what
   scoring reads. Adam's moments are not saved, so a loaded model is for
   scoring and starts any further training from a fresh optimizer state.
@@ -49,6 +59,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_EPS = 1e-7  # probability clip inside the cross-entropy
+ADAM_BLOCK = 1 << 16  # elements per Adam pass: a block's arrays stay in cache
 
 CHECKPOINT_MAGIC = b"GAFECGCK"
 CHECKPOINT_VERSION = 2
@@ -258,17 +269,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     # x: (B, H, W, C) -> (B, H-k+1, W-k+1, k, k, C)
-    bsz, h, w, c = x.shape
-    if c == 1:
-        # Rows of k*k floats: one strided copy per kernel offset beats the
-        # window gather. With more channels the gather is faster.
-        ho, wo = h - kernel + 1, w - kernel + 1
-        cols = np.empty((bsz, ho, wo, kernel, kernel, 1), dtype=x.dtype)
-        for i, j in np.ndindex(kernel, kernel):
-            cols[:, :, :, i, j] = x[:, i : i + ho, j : j + wo]
-        return cols
     windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
     return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+
+
+def _im2col_cells(x: np.ndarray, kernel: int, size: int) -> np.ndarray:
+    # x: (B, H, W, 1) -> (k*k, size*size*B*hp*wp), for the hp x wp pooled
+    # output of a size x size pool. Row (di, dj) holds, for each pool cell
+    # (i, j) in row-major order, then each (b, r, c), the input at
+    # x[b, size*r + i + di, size*c + j + dj]: one strided copy per offset.
+    bsz = x.shape[0]
+    hp, wp = (x.shape[1] - kernel + 1) // size, (x.shape[2] - kernel + 1) // size
+    cols = np.empty((kernel, kernel, size, size, bsz, hp, wp), dtype=x.dtype)
+    for di, dj in np.ndindex(kernel, kernel):
+        window = x[:, di : di + size * hp, dj : dj + size * wp, 0]
+        cols[di, dj] = window.reshape(bsz, hp, size, wp, size).transpose(2, 4, 0, 1, 3)
+    return cols.reshape(kernel * kernel, -1)
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -289,7 +305,10 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _pool_cells(a: np.ndarray, size: int) -> list[np.ndarray]:
-    # The size**2 cells of every window as strided views, row-major order.
+    # The size**2 cells of every window, in row-major order: the blocks of
+    # a cell-major (size**2, B, hp, wp, C) array, or strided views.
+    if a.ndim == 5:
+        return list(a)
     hc, wc = a.shape[1] - a.shape[1] % size, a.shape[2] - a.shape[2] % size
     return [a[:, i:hc:size, j:wc:size, :] for i in range(size) for j in range(size)]
 
@@ -331,24 +350,33 @@ def forward(
     for n, layer in enumerate(layers):
         if isinstance(layer, Conv):
             weight, bias = model.params[p], model.params[p + 1]
+            first = p == 0
             p += 2
             if layer.padding == "same":
                 xp, pad = _pad_same(a, layer.kernel)
             else:
                 xp, pad = a, (0, 0)
-            cols = _im2col(xp, layer.kernel)
-            bsz, ho, wo = cols.shape[:3]
-            flat = cols.reshape(bsz * ho * wo, -1)
-            z = flat @ weight.reshape(-1, weight.shape[-1])
-            z += bias
-            a = z.reshape(bsz, ho, wo, weight.shape[-1])
+            k, cout = layer.kernel, weight.shape[-1]
+            bsz, ho, wo = xp.shape[0], xp.shape[1] - k + 1, xp.shape[2] - k + 1
             # A pool right above takes the ReLU, and its mask, at pooled size.
             fused = n + 1 < len(layers) and isinstance(layers[n + 1], Pool)
+            if fused and first:
+                # Cell-major: the GEMM returns each pool cell as one block.
+                size = layers[n + 1].size
+                flat = _im2col_cells(xp, k, size)
+                z = flat.T @ weight.reshape(-1, cout)
+                shape = (size * size, bsz, ho // size, wo // size, cout)
+            else:
+                flat = _im2col(xp, k).reshape(bsz * ho * wo, -1)
+                z = flat @ weight.reshape(-1, cout)
+                shape = (bsz, ho, wo, cout)
+            z += bias
+            a = z.reshape(shape)
             if not fused:
                 a = _relu(a)
             if with_caches:
                 mask = None if fused else a > 0
-                caches.append(("conv", layer, flat, xp.shape, pad, mask, a.shape))
+                caches.append(("conv", layer, flat, xp.shape, pad, mask, (bsz, ho, wo, cout)))
         elif isinstance(layer, Pool):
             # Above a conv the cells hold y = conv + bias, before ReLU. ReLU
             # is monotone, so relu(max(y)) equals max(relu(y)) with the same
@@ -471,9 +499,14 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             # exact there, and a cell that did not win gets +0, never -0.
             bits = delta.view(f"i{delta.itemsize}")
             dx = np.empty(in_shape, dtype=bits.dtype)
-            hc, wc = arg.shape[1] * layer.size, arg.shape[2] * layer.size
-            dx[:, hc:] = 0  # rows and columns no window covers
-            dx[:, :hc, wc:] = 0
+            if len(in_shape) == 5:
+                # A cell-major conv below takes its bias gradient from the
+                # pooled delta: one row per window.
+                pooled_delta = delta
+            else:
+                hc, wc = arg.shape[1] * layer.size, arg.shape[2] * layer.size
+                dx[:, hc:] = 0  # rows and columns no window covers
+                dx[:, :hc, wc:] = 0
             for k, cell in enumerate(_pool_cells(dx, layer.size)):
                 np.multiply(bits, arg == k, out=cell)
             delta = dx.view(delta.dtype)
@@ -481,15 +514,20 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
             flat, xp_shape, pad, mask, _ = rest
             p -= 2
             weight = model.params[p]
-            if mask is not None:  # None: the pool above applied it
-                # delta is an array backward made (a dxp slice or the dense
-                # gradient reshaped), never a cache or a parameter.
-                np.multiply(delta, mask, out=delta)
-            bsz, ho, wo, cout = delta.shape
-            dflat = delta.reshape(bsz * ho * wo, cout)
-            dw = flat.T @ dflat
+            cout = weight.shape[-1]
+            if delta.ndim == 5:  # cell-major, as the pool above routed it
+                dw = flat @ delta.reshape(-1, cout)
+                bias_rows = pooled_delta.reshape(-1, cout)
+            else:
+                if mask is not None:  # None: the pool above applied it
+                    # delta is an array backward made (a dxp slice or the
+                    # dense gradient reshaped), never a cache or a parameter.
+                    np.multiply(delta, mask, out=delta)
+                bsz, ho, wo, _ = delta.shape
+                dflat = bias_rows = delta.reshape(bsz * ho * wo, cout)
+                dw = flat.T @ dflat
             grads[p] = dw.reshape(weight.shape).astype(model.dtype, copy=False)
-            grads[p + 1] = _column_sums(dflat).astype(model.dtype, copy=False)
+            grads[p + 1] = _column_sums(bias_rows).astype(model.dtype, copy=False)
             if p == 0:
                 break  # the input gradient of the first layer feeds nothing
             dxp = np.zeros(xp_shape, dtype=delta.dtype)
@@ -524,25 +562,30 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], lr: float = 0.001) -> Cn
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for i, g in enumerate(grads):
-        g = g.astype(model.dtype, copy=False)
-        m, v = state.m[i], state.v[i]
-        scratch = np.empty_like(m)
-        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
-        m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-        m += scratch
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - ADAM_BETA2
-        v += scratch
-        # params -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-        np.divide(v, bc2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        step = m / bc1
-        step *= lr
-        step /= scratch
-        model.params[i] -= step
+        g = np.ravel(g.astype(model.dtype, copy=False))
+        tensors = [t.reshape(-1, copy=False) for t in (state.m[i], state.v[i], model.params[i])]
+        scratch = np.empty(min(g.size, ADAM_BLOCK), dtype=model.dtype)
+        step = np.empty_like(scratch)
+        for lo in range(0, g.size, ADAM_BLOCK):
+            gb = g[lo : lo + ADAM_BLOCK]
+            m, v, param = (t[lo : lo + ADAM_BLOCK] for t in tensors)
+            s, st = scratch[: gb.size], step[: gb.size]
+            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
+            m *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            np.multiply(gb, gb, out=s)
+            s *= 1.0 - ADAM_BETA2
+            v += s
+            # params -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            np.divide(m, bc1, out=st)
+            st *= lr
+            st /= s
+            param -= st
     return model
 
 

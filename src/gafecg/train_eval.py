@@ -41,6 +41,8 @@ logger = logging.getLogger(__name__)
 POSITIVE_LABEL = "mi"
 NEGATIVE_LABEL = "healthy"
 LABEL_TO_CLASS = {NEGATIVE_LABEL: 0, POSITIVE_LABEL: 1}
+# Fold f of a run at seed s splits and initializes from seed s * stride + f.
+FOLD_SEED_STRIDE = 9973
 
 # variant id -> (noise condition, field kind)
 VARIANTS: dict[str, tuple[str, str]] = {
@@ -274,7 +276,7 @@ def train_fold(
     pool_idx = np.nonzero(plan.assignments != fold)[0]
     if len(test_idx) == 0 or len(pool_idx) < 2:
         raise BuildError(f"fold {fold}: not enough items to train and test")
-    fold_seed = seed * 9973 + fold
+    fold_seed = seed * FOLD_SEED_STRIDE + fold
     rng = np.random.Generator(np.random.PCG64(fold_seed))
     pool = rng.permutation(pool_idx)
     n_val = max(1, int(round(0.2 * len(pool))))
@@ -353,8 +355,9 @@ _OPENBLAS_SYMBOLS = [("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openbla
 
 @functools.cache
 def _blas():
-    """numpy's BLAS thread-count setter and the library's name and version,
-    or None for a BLAS without a known setter."""
+    """numpy's BLAS thread-count setter and the library's name, version and
+    core type (the kernels picked for this CPU), or None for a BLAS without
+    a known setter."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy < 2
@@ -367,14 +370,20 @@ def _blas():
             setter.argtypes, setter.restype = [ctypes.c_int], None
             config = getattr(lib, f"{prefix}get_config{suffix}")
             config.argtypes, config.restype = [], ctypes.c_char_p
-            return setter, " ".join(config().decode().split()[:2])
+            name = config().decode().split()[:2]
+            corename = getattr(lib, f"{prefix}get_corename{suffix}", None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                name.append(corename().decode())
+            return setter, " ".join(name)
     return None
 
 
 def pin_blas_threads(threads: int) -> str:
     """Run numpy's BLAS on ``threads`` threads in this process. Returns the
-    library's name and version, or "unpinned", after one warning, for a BLAS
-    whose thread count this cannot set."""
+    library's name, version and core type, such as "OpenBLAS 0.3.31.188.0
+    SkylakeX", or "unpinned", after one warning, for a BLAS whose thread
+    count this cannot set."""
     found = _blas()
     if found is None:
         warnings.warn(

@@ -370,6 +370,28 @@ class TestFailureModes:
         assert f"argument {option}: must be > 0" in capsys.readouterr().err
         assert not (out / "train").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "4611686018427387904"])
+    def test_out_of_range_seed_is_usage_error(self, pipeline_run, tmp_path, capsys, seed):
+        # -1 would fail in the fold split; the large one would train a fold,
+        # then fail to write its fold seed into the checkpoint.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run[0] / "encode", out / "encode")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(out), "--variant", "ds1", f"--seed={seed}"])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be in 0..{cli.MAX_SEED}, got {seed}" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "train").exists()
+
+    def test_largest_seed_fits_every_fold_seed(self):
+        args = cli._build_parser().parse_args(["train", "--out", "o", f"--seed={cli.MAX_SEED}"])
+        assert args.seed == cli.MAX_SEED
+        last = args.seed * train_eval.FOLD_SEED_STRIDE + cli.FOLDS - 1
+        struct.pack("<q", last)  # the checkpoint's seed field
+        with pytest.raises(struct.error):
+            struct.pack("<q", last + train_eval.FOLD_SEED_STRIDE)
+
     def test_checkpoint_of_an_older_format_fails_in_one_line(
         self, pipeline_run, tmp_path, capsys
     ):

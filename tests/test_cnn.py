@@ -229,14 +229,28 @@ def _reference_forward(model, images):
     return a, caches
 
 
+def _cell_major(t, size):
+    """Rows of a (B, H, W, n) array in the order of a cell-major conv
+    output: pool cell (i, j) first, then (b, r, c) of the pooled output;
+    rows and columns no pool window covers are dropped."""
+    bsz, h, w, n = t.shape
+    ho, wo = h // size, w // size
+    t = t[:, : ho * size, : wo * size].reshape(bsz, ho, size, wo, size, n)
+    return np.ascontiguousarray(t.transpose(2, 4, 0, 1, 3, 5)).reshape(-1, n)
+
+
 def _reference_backward(model, caches, probs, labels):
-    """Backward pass with put_along_axis pooling and the 6-D col2im scatter."""
+    """Backward pass with put_along_axis pooling and the 6-D col2im scatter.
+    The first conv, under a pool, sums its weight gradient over cell-major
+    rows and its bias gradient over the pool's winning cells."""
     grads = [None] * len(model.params)
     delta = cnn._loss_grad_z(probs, labels).astype(model.dtype)
     p = len(model.params)
+    above = None  # the pool above a conv, and its winners
     for layer, *rest in reversed(caches):
         if isinstance(layer, Pool):
             arg, in_shape = rest
+            above = layer, arg
             s, (bsz, h, w, c) = layer.size, in_shape
             ho, wo = delta.shape[1:3]
             windows = np.zeros((bsz, ho, wo, s * s, c), dtype=delta.dtype)
@@ -254,13 +268,25 @@ def _reference_backward(model, caches, probs, labels):
             delta = delta * mask if mask is not None else delta
             grads[p], grads[p + 1] = a_in.T @ delta, delta.sum(axis=0)
             delta = (delta @ weight.T).reshape(spatial)
+            above = None
             continue
         flat, xp_shape, (top, bottom), mask = rest
         delta = delta * mask
         bsz, ho, wo, cout = delta.shape
         dflat = delta.reshape(-1, cout)
+        if p == 0 and above is not None:
+            pool, arg = above
+            s = pool.size
+            rows = _cell_major(flat.reshape(bsz, ho, wo, -1), s)
+            dz = _cell_major(delta, s)
+            grads[p] = (np.ascontiguousarray(rows.T) @ dz).reshape(weight.shape)
+            cells = dz.reshape(s * s, -1, cout)
+            winners = np.take_along_axis(cells, arg.reshape(1, -1, cout), axis=0)
+            grads[p + 1] = winners.reshape(-1, cout).sum(axis=0)
+            continue
         grads[p] = (flat.T @ dflat).reshape(weight.shape)
         grads[p + 1] = dflat.sum(axis=0)
+        above = None
         k = layer.kernel
         dcols = (dflat @ weight.reshape(-1, cout).T).reshape(bsz, ho, wo, k, k, -1)
         dxp = np.zeros(xp_shape, dtype=delta.dtype)
@@ -303,14 +329,24 @@ ONE_CHANNEL_LAYERS = (
 )
 
 
+# An odd input: both pools drop a trailing row and column.
+ODD_LAYERS = (
+    Conv(2, 3, "same"),
+    Pool(),
+    Conv(3, 2, "valid"),
+    Pool(),
+    Dense(2, "sigmoid"),
+)
+
+
 def _same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestKernelOracle:
-    """The offset-copy im2col, strided-slice pooling fused with the conv
-    ReLU, fmax ReLU, per-offset conv backward, einsum bias gradients and
+    """The cell-major first conv, pooling fused with the conv ReLU, fmax
+    ReLU, per-offset conv backward, einsum bias gradients and blocked
     in-place Adam reproduce the gather, mask-then-argmax, put_along_axis,
     col2im, sum and out-of-place kernels bit for bit."""
 
@@ -360,6 +396,18 @@ class TestKernelOracle:
         images = rng.random((4, 16, 16))
         images[0, :8] = 0.0
         self._train_both(_small_model(seed=3), images, np.array([0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_input_drops_uncovered_conv_outputs(self, rng, dtype):
+        # conv1's 17x17 output loses its last row and column to the pool, so
+        # the cell-major lowering never computes them.
+        model = model_init(seed=6, layers=ODD_LAYERS, input_shape=(17, 17), dtype=dtype)
+        for bsz in range(1, 10):
+            images = rng.integers(0, 256, size=(bsz, 17, 17), dtype=np.uint8)
+            expected, _ = _reference_forward(model, images)
+            assert _same_bytes(forward(model, images)[0], expected), bsz
+            assert _same_bytes(forward(model, images, with_caches=True)[0], expected), bsz
+        self._train_both(model, images, np.arange(9) % 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_channel_convs(self, rng, dtype):
@@ -462,6 +510,30 @@ class TestGradients:
         for tensor, grad in zip(model.params, grads):
             flat = tensor.reshape(-1)
             gflat = grad.reshape(-1)
+            for j in range(flat.size):
+                keep = flat[j]
+                flat[j] = keep + eps
+                up = loss(forward(model, images)[0], labels)
+                flat[j] = keep - eps
+                down = loss(forward(model, images)[0], labels)
+                flat[j] = keep
+                numeric = (up - down) / (2.0 * eps)
+                scale = max(abs(numeric), abs(gflat[j]), 1e-8)
+                worst = max(worst, abs(numeric - gflat[j]) / scale)
+        assert worst < 1e-4, worst
+
+    def test_finite_difference_first_conv_on_odd_input(self, rng):
+        # The cell-major conv1 gradients on a 17x17 input, whose last conv1
+        # row and column no pool window covers.
+        model = model_init(seed=3, layers=ODD_LAYERS, input_shape=(17, 17), dtype=np.float64)
+        images = rng.random((3, 17, 17))
+        labels = np.array([0, 1, 0])
+        _, caches = forward(model, images, with_caches=True)
+        grads = backward(model, caches, labels)
+        eps = 1e-4
+        worst = 0.0
+        for tensor, grad in zip(model.params[:2], grads[:2]):
+            flat, gflat = tensor.reshape(-1), grad.reshape(-1)
             for j in range(flat.size):
                 keep = flat[j]
                 flat[j] = keep + eps

@@ -1,6 +1,7 @@
 """Fold planning, metric, and training-loop tests."""
 import copy
 import csv
+import ctypes
 import shutil
 
 import numpy as np
@@ -455,6 +456,24 @@ class TestBlasPin:
     def test_names_the_library(self):
         name = train_eval.pin_blas_threads(1)
         assert name == "unpinned" or name.startswith("OpenBLAS "), name
+
+    def test_names_the_core_type(self):
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        for prefix, suffix in train_eval._OPENBLAS_SYMBOLS:
+            if hasattr(lib, f"{prefix}set_num_threads{suffix}"):
+                corename = getattr(lib, f"{prefix}get_corename{suffix}", None)
+                break
+        else:
+            corename = None
+        if corename is None:
+            pytest.skip("this BLAS does not report its core type")
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = train_eval.pin_blas_threads(1)
+        assert name.split()[-1] == corename().decode(), name
 
     def test_unknown_blas_warns_and_is_unpinned(self, monkeypatch):
         monkeypatch.setattr(train_eval, "_blas", lambda: None)
