@@ -32,9 +32,7 @@ explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
   mask to the pooled gradient before routing it.
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 - Adam updates the moments and parameters in place, in the operation order
-  of the textbook formula, so the bytes equal an out-of-place update. It
-  walks each tensor in blocks of ADAM_BLOCK elements, so the arrays of one
-  block stay in cache across all the passes of the update.
+  of the textbook formula, so the bytes equal an out-of-place update.
 - A checkpoint holds the architecture, the seed and the parameters: what
   scoring reads. Adam's moments are not saved, so a loaded model is for
   scoring and starts any further training from a fresh optimizer state.
@@ -59,7 +57,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_EPS = 1e-7  # probability clip inside the cross-entropy
-ADAM_BLOCK = 1 << 16  # elements per Adam pass: a block's arrays stay in cache
 
 CHECKPOINT_MAGIC = b"GAFECGCK"
 CHECKPOINT_VERSION = 2
@@ -562,30 +559,25 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], lr: float = 0.001) -> Cn
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for i, g in enumerate(grads):
-        g = np.ravel(g.astype(model.dtype, copy=False))
-        tensors = [t.reshape(-1, copy=False) for t in (state.m[i], state.v[i], model.params[i])]
-        scratch = np.empty(min(g.size, ADAM_BLOCK), dtype=model.dtype)
-        step = np.empty_like(scratch)
-        for lo in range(0, g.size, ADAM_BLOCK):
-            gb = g[lo : lo + ADAM_BLOCK]
-            m, v, param = (t[lo : lo + ADAM_BLOCK] for t in tensors)
-            s, st = scratch[: gb.size], step[: gb.size]
-            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
-            m *= ADAM_BETA1
-            np.multiply(gb, 1.0 - ADAM_BETA1, out=s)
-            m += s
-            v *= ADAM_BETA2
-            np.multiply(gb, gb, out=s)
-            s *= 1.0 - ADAM_BETA2
-            v += s
-            # params -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            np.divide(m, bc1, out=st)
-            st *= lr
-            st /= s
-            param -= st
+        g = g.astype(model.dtype, copy=False)
+        m, v = state.m[i], state.v[i]
+        scratch = np.empty_like(m)
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+        m += scratch
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - ADAM_BETA2
+        v += scratch
+        # params -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        step = m / bc1
+        step *= lr
+        step /= scratch
+        model.params[i] -= step
     return model
 
 

@@ -496,30 +496,35 @@ class TestLoss:
         assert np.isclose(loss(probs, labels), np.mean(per_row), atol=1e-12)
 
 
+def _worst_finite_difference_error(model, images, labels, eps=1e-4):
+    """Largest relative gap between backward's gradient and a central
+    difference of the loss, over every parameter entry."""
+    _, caches = forward(model, images, with_caches=True)
+    grads = backward(model, caches, labels)
+    worst = 0.0
+    for tensor, grad in zip(model.params, grads):
+        flat = tensor.reshape(-1)
+        gflat = grad.reshape(-1)
+        for j in range(flat.size):
+            keep = flat[j]
+            flat[j] = keep + eps
+            up = loss(forward(model, images)[0], labels)
+            flat[j] = keep - eps
+            down = loss(forward(model, images)[0], labels)
+            flat[j] = keep
+            numeric = (up - down) / (2.0 * eps)
+            scale = max(abs(numeric), abs(gflat[j]), 1e-8)
+            worst = max(worst, abs(numeric - gflat[j]) / scale)
+    return worst
+
+
 class TestGradients:
     def test_finite_difference_all_parameters(self, rng):
         # ReLU kinks and pooling ties make the loss non-differentiable on a
         # measure-zero set; this seed/data combination stays clear of it.
         model = _small_model(seed=3)
         images = rng.random((3, 16, 16))
-        labels = np.array([0, 1, 0])
-        probs, caches = forward(model, images, with_caches=True)
-        grads = backward(model, caches, labels)
-        eps = 1e-4
-        worst = 0.0
-        for tensor, grad in zip(model.params, grads):
-            flat = tensor.reshape(-1)
-            gflat = grad.reshape(-1)
-            for j in range(flat.size):
-                keep = flat[j]
-                flat[j] = keep + eps
-                up = loss(forward(model, images)[0], labels)
-                flat[j] = keep - eps
-                down = loss(forward(model, images)[0], labels)
-                flat[j] = keep
-                numeric = (up - down) / (2.0 * eps)
-                scale = max(abs(numeric), abs(gflat[j]), 1e-8)
-                worst = max(worst, abs(numeric - gflat[j]) / scale)
+        worst = _worst_finite_difference_error(model, images, np.array([0, 1, 0]))
         assert worst < 1e-4, worst
 
     def test_finite_difference_first_conv_on_odd_input(self, rng):
@@ -527,23 +532,7 @@ class TestGradients:
         # row and column no pool window covers.
         model = model_init(seed=3, layers=ODD_LAYERS, input_shape=(17, 17), dtype=np.float64)
         images = rng.random((3, 17, 17))
-        labels = np.array([0, 1, 0])
-        _, caches = forward(model, images, with_caches=True)
-        grads = backward(model, caches, labels)
-        eps = 1e-4
-        worst = 0.0
-        for tensor, grad in zip(model.params[:2], grads[:2]):
-            flat, gflat = tensor.reshape(-1), grad.reshape(-1)
-            for j in range(flat.size):
-                keep = flat[j]
-                flat[j] = keep + eps
-                up = loss(forward(model, images)[0], labels)
-                flat[j] = keep - eps
-                down = loss(forward(model, images)[0], labels)
-                flat[j] = keep
-                numeric = (up - down) / (2.0 * eps)
-                scale = max(abs(numeric), abs(gflat[j]), 1e-8)
-                worst = max(worst, abs(numeric - gflat[j]) / scale)
+        worst = _worst_finite_difference_error(model, images, np.array([0, 1, 0]))
         assert worst < 1e-4, worst
 
     def test_backward_requires_caches(self, rng):
