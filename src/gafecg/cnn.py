@@ -6,7 +6,8 @@ a 2-unit sigmoid head. Forward and backward passes are written out
 explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
 
 - Convolutions are im2col GEMMs, lowered with a sliding-window gather;
-  the bias is added to the GEMM output in place. The backward pass
+  the bias is added to the GEMM output in place, or, when scoring under
+  a pool, to the pooled output (see below). The backward pass
   multiplies the ReLU mask into the incoming gradient in place and
   accumulates one GEMM per kernel offset into the padded input gradient.
   A conv layer holding the first parameters computes no input gradient:
@@ -30,6 +31,13 @@ explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
   window with no positive cell routes to its first cell) and the
   gradients are those of ReLU-then-pool; the backward pass applies the
   mask to the pooled gradient before routing it.
+- Scoring (``forward`` without caches) does less work under a pool: the
+  conv computes only the outputs a pool window covers, and the pool adds
+  the conv bias to the pooled array, after the max, at 1/size**2 of the
+  elements. Rounding is monotone, so ``fl(max z + b) == max fl(z + b)``
+  and the scores are the same bytes. The training pass (with caches)
+  adds the bias before the max, since its winners are chosen among the
+  biased cells.
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 - Adam updates the moments and parameters in place, in the operation order
   of the textbook formula, so the bytes equal an out-of-place update.
@@ -326,7 +334,10 @@ def forward(
     """Run the network on a batch of images.
 
     ``images`` is (B, H, W) or (H, W); uint8 input is scaled to [0, 1].
-    Returns per-class sigmoid probabilities of shape (B, units).
+    Returns ``(probs, caches)``: per-class sigmoid probabilities of shape
+    (B, units), and the caches ``backward`` reads when ``with_caches`` is
+    set, else None. Without caches, a conv under a pool computes only the
+    outputs the pool reads and the pool adds the conv bias after the max.
     """
     x = np.asarray(images)
     if x.ndim == 2:
@@ -342,6 +353,7 @@ def forward(
         x = x.astype(model.dtype, copy=False)
     a = x[..., None]  # channels-last
     caches: list = []
+    deferred = None  # the bias of a conv whose pool adds it after the max
     p = 0
     layers = model.layers
     for n, layer in enumerate(layers):
@@ -357,6 +369,8 @@ def forward(
             bsz, ho, wo = xp.shape[0], xp.shape[1] - k + 1, xp.shape[2] - k + 1
             # A pool right above takes the ReLU, and its mask, at pooled size.
             fused = n + 1 < len(layers) and isinstance(layers[n + 1], Pool)
+            # Scoring defers the bias to the pool above: see the pool.
+            scoring = fused and not with_caches
             if fused and first:
                 # Cell-major: the GEMM returns each pool cell as one block.
                 size = layers[n + 1].size
@@ -364,10 +378,18 @@ def forward(
                 z = flat.T @ weight.reshape(-1, cout)
                 shape = (size * size, bsz, ho // size, wo // size, cout)
             else:
+                if scoring:
+                    # Only the outputs a pool window covers.
+                    size = layers[n + 1].size
+                    ho, wo = ho - ho % size, wo - wo % size
+                    xp = xp[:, : ho + k - 1, : wo + k - 1]
                 flat = _im2col(xp, k).reshape(bsz * ho * wo, -1)
                 z = flat @ weight.reshape(-1, cout)
                 shape = (bsz, ho, wo, cout)
-            z += bias
+            if scoring:
+                deferred = bias
+            else:
+                z += bias
             a = z.reshape(shape)
             if not fused:
                 a = _relu(a)
@@ -378,12 +400,20 @@ def forward(
             # Above a conv the cells hold y = conv + bias, before ReLU. ReLU
             # is monotone, so relu(max(y)) equals max(relu(y)) with the same
             # winner; fmax skips a NaN cell as ReLU-first pooling does.
+            # Without caches the conv leaves its bias to the pool: rounding
+            # is monotone too, so fl(max(z) + b) equals max(fl(z + b)).
             fused = n > 0 and isinstance(layers[n - 1], Conv)
             combine = np.fmax if fused else np.maximum
             cells = _pool_cells(a, layer.size)
-            pooled = cells[0].copy()
-            for cell in cells[1:]:
+            if len(cells) == 1:
+                pooled = cells[0].copy()
+            else:
+                pooled = combine(cells[0], cells[1])
+            for cell in cells[2:]:
                 combine(pooled, cell, out=pooled)
+            if deferred is not None:
+                pooled += deferred
+                deferred = None
             if with_caches:
                 # arg counts the cells before the first one holding the max.
                 arg = np.zeros(pooled.shape, dtype=np.uint8)
@@ -430,6 +460,10 @@ class Prediction:
 
 
 def predict(model: CnnModel, image: np.ndarray) -> Prediction:
+    """Probabilities and label of one (H, W) image or a (1, H, W) batch."""
+    shape = np.shape(image)
+    if not (len(shape) == 2 or (len(shape) == 3 and shape[0] == 1)):
+        raise ShapeError(f"predict takes one (H, W) image or a (1, H, W) batch, got {shape}")
     probs, _ = forward(model, image)
     return Prediction(probabilities=probs[0], label=int(np.argmax(probs[0])))
 

@@ -160,6 +160,14 @@ class TestForward:
         np.testing.assert_allclose(pred.probabilities, [0.5, 0.5])
         assert pred.label == 0
 
+    def test_predict_refuses_a_batch(self, rng):
+        model = _small_model()
+        images = rng.integers(0, 256, size=(3, 16, 16), dtype=np.uint8)
+        with pytest.raises(ShapeError, match=r"\(3, 16, 16\)"):
+            predict(model, images)
+        one = predict(model, images[:1])
+        assert _same_bytes(one.probabilities, predict(model, images[0]).probabilities)
+
 
 class TestPoolingTies:
     def _pool_cache(self, window):
@@ -225,8 +233,16 @@ def _reference_forward(model, images):
         else:
             spatial, a = a.shape, a.reshape(len(a), -1)
             caches.append((layer, a, spatial, None))
-            a = cnn._sigmoid(a @ weight + bias)
+            a = _two_branch_sigmoid(a @ weight + bias)
     return a, caches
+
+
+def _two_branch_sigmoid(z):
+    """The textbook stable sigmoid: 1 / (1 + e**-z) where z >= 0, else
+    e**z / (1 + e**z); each branch is evaluated everywhere."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(z)
+        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), ez / (1.0 + ez))
 
 
 def _cell_major(t, size):
@@ -345,10 +361,11 @@ def _same_bytes(a, b):
 
 
 class TestKernelOracle:
-    """The cell-major first conv, pooling fused with the conv ReLU, fmax
-    ReLU, per-offset conv backward, einsum bias gradients and blocked
-    in-place Adam reproduce the gather, mask-then-argmax, put_along_axis,
-    col2im, sum and out-of-place kernels bit for bit."""
+    """The cell-major first conv, pooling fused with the conv ReLU, the
+    scoring pass's bias after the max, fmax ReLU, per-offset conv
+    backward, einsum bias gradients and in-place Adam reproduce the
+    gather, mask-then-argmax, put_along_axis, col2im, sum and out-of-place
+    kernels bit for bit."""
 
     def _compare_step(self, model, ref, images, labels):
         """One forward and backward of both; returns both gradient lists."""
@@ -383,7 +400,13 @@ class TestKernelOracle:
         images[:, :48, :48] = 0
         images[:, 80:, 80:] = 255
         images[0] = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
-        self._train_both(model_init(seed=1), images, np.array([0, 1] * 4))
+        model = model_init(seed=1)
+        self._train_both(model, images, np.array([0, 1] * 4))
+        # Scoring, with the trained (non-zero) biases, at every batch size.
+        images = np.concatenate([images, images[:1, ::-1]])
+        for bsz in range(1, 10):
+            expected, _ = _reference_forward(model, images[:bsz])
+            assert _same_bytes(forward(model, images[:bsz])[0], expected), bsz
 
     def test_production_net_batch_of_one(self, rng):
         model = model_init(seed=2)
@@ -395,7 +418,9 @@ class TestKernelOracle:
     def test_reduced_net_float64(self, rng):
         images = rng.random((4, 16, 16))
         images[0, :8] = 0.0
-        self._train_both(_small_model(seed=3), images, np.array([0, 1, 1, 0]))
+        model = _small_model(seed=3)
+        self._train_both(model, images, np.array([0, 1, 1, 0]))
+        assert _same_bytes(forward(model, images)[0], _reference_forward(model, images)[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_odd_input_drops_uncovered_conv_outputs(self, rng, dtype):
@@ -417,6 +442,7 @@ class TestKernelOracle:
             seed=4, layers=ONE_CHANNEL_LAYERS, input_shape=(32, 32), dtype=dtype
         )
         self._train_both(model, images, np.array([0, 1, 1, 0, 1, 0]), steps=4)
+        assert _same_bytes(forward(model, images)[0], _reference_forward(model, images)[0])
 
     # A fused pool that took np.maximum would let a NaN cell win its window.
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -431,8 +457,12 @@ class TestKernelOracle:
         images[rng.random(shape) < 0.02] = special
         images[:, 4:6, 4:7] = special
         labels = np.arange(shape[0]) % 2
+        # Non-zero biases, so scoring's bias after the max meets the specials.
+        for bias in model.params[1::2]:
+            bias[...] = rng.standard_normal(bias.shape) / 4
         # No Adam step: the gradients may be non-finite.
         self._compare_step(model, copy.deepcopy(model), images, labels)
+        assert _same_bytes(forward(model, images)[0], _reference_forward(model, images)[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_matches_mask_form_on_special_values(self, dtype):
@@ -444,6 +474,16 @@ class TestKernelOracle:
                 z = np.resize(np.roll(np.asarray(special, dtype=dtype), offset), n)
                 expected = np.where(z > 0, z, np.asarray(0.0, dtype=dtype))
                 assert _same_bytes(cnn._relu(z.copy()), expected), (n, offset)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_branch_form_on_special_values(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        big = 100.0 if dtype == np.float32 else 800.0  # e**-big is subnormal or 0
+        special = [np.nan, -0.0, 0.0, np.inf, -np.inf, big, -big, tiny, -tiny, 1.5, -2.0]
+        for n in range(1, 71):
+            for offset in range(len(special)):
+                z = np.resize(np.roll(np.asarray(special, dtype=dtype), offset), n)
+                assert _same_bytes(cnn._sigmoid(z), _two_branch_sigmoid(z)), (n, offset)
 
 
 class TestColumnSums:
