@@ -16,9 +16,12 @@ two verdicts:
   ``unresolved`` marks a metric whose parent runs spread wider than that
   bound, unless every change run beats every parent run.
 
-A run that exits non-zero or reports ``correct: false`` is printed, and
-its pair is left out of every verdict. Both checkouts must hold the same
-``BENCHMARK.json`` and ``perfbench/`` files. Run, for example:
+A run fails when it exits non-zero or reports ``correct: false``. It is
+printed, and its pair is left out of every verdict. A last JSON line per
+workload lists the seeds where only the change failed, only the parent
+failed, or both failed: a change that fails where the parent passes is
+a regression whatever the metric verdicts say. Both checkouts must hold
+the same ``BENCHMARK.json`` and ``perfbench/`` files. Run, for example:
 
     python3 scripts/perf_pairs.py --parent ../base --change . \\
         --workload screen --seeds 801-810
@@ -106,10 +109,27 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def failed(run: dict) -> bool:
+    return run["exit"] != 0 or not run["correct"]
+
+
+def failures(seeds: list[int], pairs: list[dict]) -> dict:
+    """The seeds of the pairs with a failed run, by which side failed;
+    ``pairs[i]`` ran ``seeds[i]``."""
+    sides = {"change_only": [], "parent_only": [], "both": []}
+    for seed, pair in zip(seeds, pairs):
+        change, parent = failed(pair["change"]), failed(pair["parent"])
+        if change and parent:
+            sides["both"].append(seed)
+        elif change or parent:
+            sides["change_only" if change else "parent_only"].append(seed)
+    return sides
+
+
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> list[dict]:
     """One verdict per declared metric, over the pairs whose two runs both
     exited 0 and passed their checks."""
-    counted = [p for p in pairs if all(r["exit"] == 0 and r["correct"] for r in p.values())]
+    counted = [p for p in pairs if not any(failed(r) for r in p.values())]
     return [
         {"metric": m["name"], **verdict(
             [p["parent"]["metrics"][m["name"]] for p in counted],
@@ -146,6 +166,7 @@ def main() -> int:
 
     for result in summarise(pairs, declared["end_to_end"]):
         print(json.dumps({"workload": args.workload, "runs": 2 * len(pairs), **result}))
+    print(json.dumps({"workload": args.workload, "failed": failures(args.seeds, pairs)}))
     return 0
 
 

@@ -459,12 +459,13 @@ def stage_pipeline(cfg: PipelineConfig) -> None:
 
 
 def _positive(cast):
-    """An argparse type: ``cast`` of the option's text, refused unless > 0."""
+    """An argparse type: ``cast`` of the option's text, refused unless > 0
+    and finite."""
 
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names the type in its errors

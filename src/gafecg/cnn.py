@@ -5,39 +5,34 @@ conv/max-pool blocks (16, 32, 64, 128 channels), a 100-unit ReLU layer and
 a 2-unit sigmoid head. Forward and backward passes are written out
 explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
 
-- Convolutions are im2col GEMMs, lowered with a sliding-window gather;
-  the bias is added to the GEMM output in place, or, when scoring under
-  a pool, to the pooled output (see below). The backward pass
-  multiplies the ReLU mask into the incoming gradient in place and
-  accumulates one GEMM per kernel offset into the padded input gradient.
-  A conv layer holding the first parameters computes no input gradient:
-  no parameter below uses it.
-- That first conv, when a pool sits right above it, is lowered
-  cell-major: a (k*k, size**2 * B*hp*wp) im2col with one strided copy per
-  kernel offset, its columns ordered pool cell first. ``cols.T @ W`` then
+- The network is a stack of conv->pool blocks under the dense layers:
+  every Conv has a Pool right above it, and Pool(1) spells a conv with
+  no pooling. A block is one conv, ``np.fmax`` max pooling over
+  non-overlapping size x size windows, then ReLU. ReLU is monotone, so
+  the values, the winners (a window with no positive cell routes to its
+  first cell) and the gradients are those of ReLU-then-pool.
+- Convolutions are im2col GEMMs, lowered with a sliding-window gather.
+  The conv holding the first parameters is lowered cell-major instead: a
+  (k*k, size**2 * B*hp*wp) im2col with one strided copy per kernel
+  offset, its columns ordered pool cell first. ``cols.T @ W`` then
   returns each of the size**2 cells of every pool window as one
   contiguous block, and conv outputs no window covers are never
-  computed. Its weight gradient is ``cols @ dz`` over the routed blocks,
-  and its bias gradient sums the pooled, masked delta, which has one row
-  per window.
-- Max pooling takes the elementwise maximum of the size**2 cells of its
-  non-overlapping windows: strided slices, or the blocks of a cell-major
-  conv. With caches kept it also records the first cell, in row-major
-  window order, that holds the maximum, so the gradient of a tie goes to
-  the first tied cell, as with ``np.argmax``.
-- A pool right above a conv is fused with the conv's ReLU: it pools the
-  biased conv output with ``np.fmax`` and applies ReLU, and keeps its
-  mask, at pooled size. ReLU is monotone, so the values, the winners (a
-  window with no positive cell routes to its first cell) and the
-  gradients are those of ReLU-then-pool; the backward pass applies the
-  mask to the pooled gradient before routing it.
-- Scoring (``forward`` without caches) does less work under a pool: the
-  conv computes only the outputs a pool window covers, and the pool adds
-  the conv bias to the pooled array, after the max, at 1/size**2 of the
-  elements. Rounding is monotone, so ``fl(max z + b) == max fl(z + b)``
-  and the scores are the same bytes. The training pass (with caches)
-  adds the bias before the max, since its winners are chosen among the
-  biased cells.
+  computed.
+- With caches kept, pooling records the first cell, in row-major window
+  order, that holds the maximum, so the gradient of a tie goes to the
+  first tied cell, as with ``np.argmax``; it keeps the ReLU mask at
+  pooled size. The backward pass applies the mask to the pooled
+  gradient, routes it to the winning cells, and accumulates one GEMM per
+  kernel offset into the padded input gradient. The first conv computes
+  no input gradient: no parameter below uses it. Its weight gradient is
+  ``cols @ dz`` over the routed blocks, and its bias gradient sums the
+  pooled, masked delta, which has one row per window.
+- The training pass (with caches) adds the conv bias before the max,
+  since its winners are chosen among the biased cells. Scoring
+  (``forward`` without caches) computes only the conv outputs a pool
+  window covers and adds the bias to the pooled array, after the max, at
+  1/size**2 of the elements. Rounding is monotone, so
+  ``fl(max z + b) == max fl(z + b)`` and the scores are the same bytes.
 - ReLU is ``np.fmax(z, 0)``: NaN maps to 0 as under a ``z > 0`` mask.
 - Adam updates the moments and parameters in place, in the operation order
   of the textbook formula, so the bytes equal an out-of-place update.
@@ -53,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +67,8 @@ CHECKPOINT_VERSION = 2
 
 @dataclass(frozen=True)
 class Conv:
-    """3x3 or 2x2 convolution, stride 1, always followed by ReLU."""
+    """3x3 or 2x2 convolution, stride 1; the Pool right above it takes its
+    ReLU."""
 
     out_channels: int
     kernel: int
@@ -81,8 +77,9 @@ class Conv:
 
 @dataclass(frozen=True)
 class Pool:
-    """Max pooling over non-overlapping size x size windows; odd trailing
-    rows/columns are dropped."""
+    """Max pooling over non-overlapping size x size windows of the conv
+    right below it; odd trailing rows/columns are dropped. Pool(1) spells
+    a conv with no pooling."""
 
     size: int = 2
 
@@ -113,14 +110,17 @@ def classifier_layers() -> tuple[LayerSpec, ...]:
 
 
 def reduced_layers() -> tuple[LayerSpec, ...]:
-    """Small stack for 16x16 inputs; same layer types, ~200 parameters."""
+    """Small stack for 16x16 inputs; same layer types, 175 parameters. Its
+    last two blocks pool with Pool(1): convs with no pooling."""
     return (
         Conv(2, 3, "same"),
         Pool(),
         Conv(3, 2, "valid"),
         Pool(),
         Conv(3, 2, "valid"),
+        Pool(1),
         Conv(4, 2, "valid"),
+        Pool(1),
         Dense(5, "relu"),
         Dense(2, "sigmoid"),
     )
@@ -131,12 +131,15 @@ def _plan(layers: tuple[LayerSpec, ...], input_shape: tuple[int, int]) -> list[t
 
     Returns one (in_shape, out_shape) pair per layer, where conv/pool shapes
     are (H, W, C) and dense shapes are (units,). Raises ShapeError when a
-    layer cannot be applied.
+    layer cannot be applied, or when a conv and a pool do not pair up into
+    a conv->pool block.
     """
     shape: tuple = (input_shape[0], input_shape[1], 1)
     plan: list[tuple] = []
-    for layer in layers:
+    for n, layer in enumerate(layers):
         if isinstance(layer, Conv):
+            if not (n + 1 < len(layers) and isinstance(layers[n + 1], Pool)):
+                raise ShapeError(f"layer {n} {layer} needs a Pool right above it")
             if len(shape) != 3:
                 raise ShapeError(f"conv layer after flatten: input shape {shape}")
             h, w, c = shape
@@ -150,8 +153,8 @@ def _plan(layers: tuple[LayerSpec, ...], input_shape: tuple[int, int]) -> list[t
                 raise ShapeError(f"conv kernel {layer.kernel} too large for {shape}")
             out = (oh, ow, layer.out_channels)
         elif isinstance(layer, Pool):
-            if len(shape) != 3:
-                raise ShapeError(f"pool layer after flatten: input shape {shape}")
+            if not (n > 0 and isinstance(layers[n - 1], Conv)):
+                raise ShapeError(f"layer {n} {layer} must sit right above a Conv")
             if not 1 <= layer.size <= 16:
                 raise ShapeError(f"pool needs size in 1..16, got {layer}")
             h, w, c = shape
@@ -160,6 +163,8 @@ def _plan(layers: tuple[LayerSpec, ...], input_shape: tuple[int, int]) -> list[t
                 raise ShapeError(f"pool too large for {shape}")
             out = (oh, ow, c)
         elif isinstance(layer, Dense):
+            if layer.activation not in ("relu", "sigmoid"):
+                raise ShapeError(f"layer {n} {layer}: unknown activation")
             out = (layer.units,)
         else:
             raise ShapeError(f"unknown layer type {type(layer).__name__}")
@@ -336,8 +341,9 @@ def forward(
     ``images`` is (B, H, W) or (H, W); uint8 input is scaled to [0, 1].
     Returns ``(probs, caches)``: per-class sigmoid probabilities of shape
     (B, units), and the caches ``backward`` reads when ``with_caches`` is
-    set, else None. Without caches, a conv under a pool computes only the
-    outputs the pool reads and the pool adds the conv bias after the max.
+    set, else None. Each conv->pool block runs in its conv's turn; without
+    caches it computes only the conv outputs the pool reads and adds the
+    bias after the max.
     """
     x = np.asarray(images)
     if x.ndim == 2:
@@ -353,11 +359,15 @@ def forward(
         x = x.astype(model.dtype, copy=False)
     a = x[..., None]  # channels-last
     caches: list = []
-    deferred = None  # the bias of a conv whose pool adds it after the max
     p = 0
     layers = model.layers
     for n, layer in enumerate(layers):
         if isinstance(layer, Conv):
+            # One conv->pool block, in the conv's turn (the pool's turn has
+            # nothing left to do): conv, fmax pooling, then ReLU. ReLU is
+            # monotone, so relu(max(y)) equals max(relu(y)) with the same
+            # winner, and fmax skips a NaN cell as ReLU-first pooling does.
+            size = layers[n + 1].size
             weight, bias = model.params[p], model.params[p + 1]
             first = p == 0
             p += 2
@@ -367,68 +377,44 @@ def forward(
                 xp, pad = a, (0, 0)
             k, cout = layer.kernel, weight.shape[-1]
             bsz, ho, wo = xp.shape[0], xp.shape[1] - k + 1, xp.shape[2] - k + 1
-            # A pool right above takes the ReLU, and its mask, at pooled size.
-            fused = n + 1 < len(layers) and isinstance(layers[n + 1], Pool)
-            # Scoring defers the bias to the pool above: see the pool.
-            scoring = fused and not with_caches
-            if fused and first:
+            if first:
                 # Cell-major: the GEMM returns each pool cell as one block.
-                size = layers[n + 1].size
                 flat = _im2col_cells(xp, k, size)
                 z = flat.T @ weight.reshape(-1, cout)
                 shape = (size * size, bsz, ho // size, wo // size, cout)
             else:
-                if scoring:
-                    # Only the outputs a pool window covers.
-                    size = layers[n + 1].size
+                if not with_caches:
+                    # Scoring computes only the outputs a pool window covers.
                     ho, wo = ho - ho % size, wo - wo % size
                     xp = xp[:, : ho + k - 1, : wo + k - 1]
                 flat = _im2col(xp, k).reshape(bsz * ho * wo, -1)
                 z = flat @ weight.reshape(-1, cout)
                 shape = (bsz, ho, wo, cout)
-            if scoring:
-                deferred = bias
-            else:
-                z += bias
-            a = z.reshape(shape)
-            if not fused:
-                a = _relu(a)
             if with_caches:
-                mask = None if fused else a > 0
-                caches.append(("conv", layer, flat, xp.shape, pad, mask, (bsz, ho, wo, cout)))
-        elif isinstance(layer, Pool):
-            # Above a conv the cells hold y = conv + bias, before ReLU. ReLU
-            # is monotone, so relu(max(y)) equals max(relu(y)) with the same
-            # winner; fmax skips a NaN cell as ReLU-first pooling does.
-            # Without caches the conv leaves its bias to the pool: rounding
-            # is monotone too, so fl(max(z) + b) equals max(fl(z + b)).
-            fused = n > 0 and isinstance(layers[n - 1], Conv)
-            combine = np.fmax if fused else np.maximum
-            cells = _pool_cells(a, layer.size)
-            if len(cells) == 1:
-                pooled = cells[0].copy()
-            else:
-                pooled = combine(cells[0], cells[1])
+                # Training picks its winners among the biased cells.
+                z += bias
+            cells = _pool_cells(z.reshape(shape), size)
+            pooled = np.fmax(cells[0], cells[1]) if size > 1 else cells[0]
             for cell in cells[2:]:
-                combine(pooled, cell, out=pooled)
-            if deferred is not None:
-                pooled += deferred
-                deferred = None
+                np.fmax(pooled, cell, out=pooled)
             if with_caches:
                 # arg counts the cells before the first one holding the max.
+                # A window whose max is not positive is all zero after ReLU,
+                # and a tie of zeros goes to the first cell.
                 arg = np.zeros(pooled.shape, dtype=np.uint8)
                 before = np.ones(pooled.shape, dtype=bool)
                 for cell in cells[:-1]:
                     before &= cell != pooled
                     arg += before
-                alive = None
-                if fused:
-                    # A window whose max is not positive is all zero after
-                    # ReLU, and a tie of zeros goes to the first cell.
-                    alive = pooled > 0
-                    arg *= alive
-                caches.append(("pool", layer, arg, a.shape, alive))
-            a = _relu(pooled) if fused else pooled
+                alive = pooled > 0
+                arg *= alive
+                caches.append(
+                    ("block", layer, size, flat, xp.shape, pad, (bsz, ho, wo, cout), arg, alive)
+                )
+            else:
+                # Rounding is monotone, so fl(max(z) + b) equals max(fl(z + b)).
+                pooled += bias
+            a = _relu(pooled)
         elif isinstance(layer, Dense):
             if a.ndim == 4:
                 spatial = a.shape
@@ -521,46 +507,34 @@ def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarr
         elif kind == "flatten":
             spatial, _ = rest
             delta = delta.reshape(spatial)
-        elif kind == "pool":
-            arg, in_shape, alive = rest
-            if alive is not None:
-                # The ReLU mask of the conv below, taken at its winners.
-                np.multiply(delta, alive, out=delta)
+        elif kind == "block":
+            size, flat, xp_shape, pad, (bsz, ho, wo, cout), arg, alive = rest
+            p -= 2
+            weight = model.params[p]
+            # The ReLU mask, taken at the winners. delta is an array backward
+            # made (a dxp slice or the dense gradient reshaped).
+            np.multiply(delta, alive, out=delta)
             # Route on the integer view of delta: a product with 0 or 1 is
             # exact there, and a cell that did not win gets +0, never -0.
             bits = delta.view(f"i{delta.itemsize}")
-            dx = np.empty(in_shape, dtype=bits.dtype)
-            if len(in_shape) == 5:
-                # A cell-major conv below takes its bias gradient from the
-                # pooled delta: one row per window.
-                pooled_delta = delta
+            if p == 0:  # the cell-major first conv: one block per pool cell
+                dz = np.empty((size * size, *arg.shape), dtype=bits.dtype)
             else:
-                hc, wc = arg.shape[1] * layer.size, arg.shape[2] * layer.size
-                dx[:, hc:] = 0  # rows and columns no window covers
-                dx[:, :hc, wc:] = 0
-            for k, cell in enumerate(_pool_cells(dx, layer.size)):
+                dz = np.empty((bsz, ho, wo, cout), dtype=bits.dtype)
+                hc, wc = arg.shape[1] * size, arg.shape[2] * size
+                dz[:, hc:] = 0  # rows and columns no window covers
+                dz[:, :hc, wc:] = 0
+            for k, cell in enumerate(_pool_cells(dz, size)):
                 np.multiply(bits, arg == k, out=cell)
-            delta = dx.view(delta.dtype)
-        elif kind == "conv":
-            flat, xp_shape, pad, mask, _ = rest
-            p -= 2
-            weight = model.params[p]
-            cout = weight.shape[-1]
-            if delta.ndim == 5:  # cell-major, as the pool above routed it
-                dw = flat @ delta.reshape(-1, cout)
-                bias_rows = pooled_delta.reshape(-1, cout)
-            else:
-                if mask is not None:  # None: the pool above applied it
-                    # delta is an array backward made (a dxp slice or the
-                    # dense gradient reshaped), never a cache or a parameter.
-                    np.multiply(delta, mask, out=delta)
-                bsz, ho, wo, _ = delta.shape
-                dflat = bias_rows = delta.reshape(bsz * ho * wo, cout)
-                dw = flat.T @ dflat
-            grads[p] = dw.reshape(weight.shape).astype(model.dtype, copy=False)
-            grads[p + 1] = _column_sums(bias_rows).astype(model.dtype, copy=False)
+            dz = dz.view(delta.dtype)
             if p == 0:
+                # The bias gradient sums the pooled delta: one row per window.
+                grads[p] = (flat @ dz.reshape(-1, cout)).reshape(weight.shape)
+                grads[p + 1] = _column_sums(delta.reshape(-1, cout))
                 break  # the input gradient of the first layer feeds nothing
+            dflat = dz.reshape(-1, cout)
+            grads[p] = (flat.T @ dflat).reshape(weight.shape)
+            grads[p + 1] = _column_sums(dflat)
             dxp = np.zeros(xp_shape, dtype=delta.dtype)
             dx_ij = np.empty((bsz, ho, wo, weight.shape[2]), dtype=delta.dtype)
             for i, j in np.ndindex(weight.shape[:2]):
@@ -726,6 +700,10 @@ def _decode_checkpoint(
     if hashlib.sha256(desc).digest() != digest:
         raise CheckpointError("architecture descriptor digest mismatch")
     layers, input_shape = _parse_arch(desc.decode())
+    try:
+        shapes = _param_shapes(layers, input_shape)
+    except ShapeError as exc:
+        raise CheckpointError(f"bad architecture: {exc}") from None
     if expected_layers is not None and tuple(expected_layers) != layers:
         raise CheckpointError("checkpoint belongs to a different layer stack")
     if expected_input_shape is not None and tuple(expected_input_shape) != input_shape:
@@ -736,7 +714,7 @@ def _decode_checkpoint(
     take(8, "adam step")
     le = dtype.newbyteorder("<")
     params = []
-    for shape, _ in _param_shapes(layers, input_shape):
+    for shape, _ in shapes:
         chunk = take(int(np.prod(shape)) * itemsize, "parameters")
         params.append(np.frombuffer(chunk, dtype=le).astype(dtype).reshape(shape))
     if pos != len(data):

@@ -373,10 +373,9 @@ class TestShapeConformance:
         flatten_width = None
         for entry in caches[:-1]:
             kind = entry[0]
-            if kind == "conv":
-                seen.append(entry[6][1:])
-            elif kind == "pool":
-                seen.append(entry[2].shape[1:])
+            if kind == "block":
+                seen.append(entry[6][1:])  # the conv's (B, ho, wo, cout)
+                seen.append(entry[7].shape[1:])  # the pool's winners
             elif kind == "flatten":
                 flatten_width = int(np.prod(entry[2][1:]))
             elif kind == "dense":

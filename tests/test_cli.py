@@ -355,7 +355,8 @@ class TestFailureModes:
         "setting",
         [
             "--batch=0", "--batch=-1", "--epochs=0", "--epochs=-2",
-            "--patience=0", "--lr=0", "--lr=-0.001", "--lr=nan",
+            "--patience=0", "--lr=0", "--lr=-0.001", "--lr=nan", "--lr=inf",
+            "--lr=1e400",
         ],
     )
     def test_out_of_range_training_setting_is_usage_error(

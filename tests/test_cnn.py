@@ -1,5 +1,7 @@
 """Convolutional network tests: shapes, gradients, optimizer, checkpoints."""
 import copy
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -60,10 +62,22 @@ class TestArchitecture:
         assert num_params(model) == 175
 
     def test_impossible_stack_rejected(self):
-        with pytest.raises(ShapeError):
-            layer_output_shapes((Conv(4, 3, "valid"),), (2, 2))
-        with pytest.raises(ShapeError):
-            layer_output_shapes((Dense(4, "relu"), Conv(4, 3, "same")), (8, 8))
+        cases = [
+            ((Conv(4, 3, "valid"), Pool()), (2, 2), "too large"),
+            ((Dense(4, "relu"), Conv(4, 3, "same"), Pool()), (8, 8), "after flatten"),
+            ((Dense(2, "relu"), Dense(2, "tanh")), (2, 2), "layer 1 Dense.*unknown activation"),
+            # Every conv and pool pair up into a conv->pool block.
+            ((Conv(2, 3, "same"), Dense(2, "sigmoid")), (8, 8), "layer 0 Conv.*needs a Pool"),
+            ((Conv(2, 3, "same"),), (8, 8), "layer 0 Conv.*needs a Pool"),
+            ((Pool(), Dense(2, "sigmoid")), (8, 8), "layer 0 Pool.*above a Conv"),
+            ((Conv(2, 3, "same"), Pool(), Pool()), (8, 8), "layer 2 Pool.*above a Conv"),
+        ]
+        for layers, input_shape, message in cases:
+            with pytest.raises(ShapeError, match=message):
+                layer_output_shapes(layers, input_shape)
+        # model_init plans the same stack.
+        with pytest.raises(ShapeError, match="unknown activation"):
+            model_init(seed=0, layers=(Dense(2, "tanh"),), input_shape=(2, 2))
 
     @pytest.mark.parametrize(
         "pool", [Pool(-1), Pool(32), Pool(0), Pool(17)]
@@ -171,12 +185,16 @@ class TestForward:
 
 class TestPoolingTies:
     def _pool_cache(self, window):
+        # A 1x1 conv with weight 1 and bias 0 hands the window to the pool.
         model = model_init(
-            seed=0, layers=(Pool(), Dense(1, "sigmoid")), input_shape=(2, 2)
+            seed=0,
+            layers=(Conv(1, 1, "valid"), Pool(), Dense(1, "sigmoid")),
+            input_shape=(2, 2),
         )
+        model.params[0][...] = 1.0
         _, caches = forward(model, np.asarray(window, dtype=np.float64), True)
-        kind, _, arg = caches[0][:3]
-        assert kind == "pool"
+        kind, arg = caches[0][0], caches[0][7]
+        assert kind == "block"
         return int(arg[0, 0, 0, 0])
 
     def test_all_equal_routes_to_first(self):
@@ -372,11 +390,11 @@ class TestKernelOracle:
         probs, caches = forward(model, images, with_caches=True)
         ref_probs, ref_caches = _reference_forward(ref, images)
         assert _same_bytes(probs, ref_probs)
-        pools = [c for c in caches if c[0] == "pool"]
+        blocks = [c for c in caches if c[0] == "block"]
         ref_pools = [c for c in ref_caches if isinstance(c[0], Pool)]
-        assert len(pools) == len(ref_pools)
-        for pool, (_, ref_arg, _) in zip(pools, ref_pools):
-            np.testing.assert_array_equal(pool[2], ref_arg[:, :, :, 0])
+        assert len(blocks) == len(ref_pools)
+        for block, (_, ref_arg, _) in zip(blocks, ref_pools):
+            np.testing.assert_array_equal(block[7], ref_arg[:, :, :, 0])
         grads = backward(model, caches, labels)
         ref_grads = _reference_backward(ref, ref_caches, ref_probs, labels)
         assert all(_same_bytes(g, r) for g, r in zip(grads, ref_grads))
@@ -444,7 +462,7 @@ class TestKernelOracle:
         self._train_both(model, images, np.array([0, 1, 1, 0, 1, 0]), steps=4)
         assert _same_bytes(forward(model, images)[0], _reference_forward(model, images)[0])
 
-    # A fused pool that took np.maximum would let a NaN cell win its window.
+    # A pool that took np.maximum would let a NaN cell win its window.
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("net", ["reduced-float64", "production"])
@@ -742,6 +760,32 @@ class TestCheckpoints:
             expected_input_shape=(16, 16),
         )
         assert restored.layers == reduced_layers()
+
+    @pytest.mark.parametrize(
+        "desc,message",
+        [
+            ("in:2x2|conv:4:3:valid|pool:1", "conv kernel 3 too large"),
+            ("in:8x8|conv:1:3:diagonal|pool:2", "unknown padding"),
+            ("in:8x8|conv:1:3:same|pool:0", "size in 1..16"),
+            ("in:8x8|conv:1:3:same|dense:2:sigmoid", "needs a Pool"),
+            ("in:2x2|dense:2:tanh", "unknown activation"),
+        ],
+    )
+    def test_impossible_architecture_names_the_file(self, tmp_path, desc, message):
+        # A well-formed file whose descriptor, digest included, is valid,
+        # but whose network cannot be built.
+        raw = desc.encode()
+        path = tmp_path / "arch.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC
+            + struct.pack("<IBI", cnn.CHECKPOINT_VERSION, 4, len(raw))
+            + raw
+            + hashlib.sha256(raw).digest()
+            + struct.pack("<qq", 0, 0)
+        )
+        with pytest.raises(CheckpointError, match=message) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_magic_is_stable(self, rng, tmp_path):
         model = _trained_small(rng)

@@ -79,6 +79,27 @@ def test_a_failed_run_drops_its_pair():
     assert (result["pairs"], result["wins"]) == (10, 10) and result["claim_met"]
 
 
+def test_failed_runs_are_listed_by_side():
+    def run(exit=0, correct=True):
+        return {"exit": exit, "correct": correct, "metrics": {"latency_ms": 2.0}}
+
+    pairs = [
+        {"parent": run(), "change": run()},
+        {"parent": run(), "change": run(exit=1, correct=False)},
+        {"parent": run(correct=False), "change": run()},
+        {"parent": run(exit=1), "change": run(correct=False)},
+        {"parent": run(), "change": run(correct=False)},
+    ]
+    assert perf_pairs.failures([801, 802, 803, 804, 805], pairs) == {
+        "change_only": [802, 805],
+        "parent_only": [803],
+        "both": [804],
+    }
+    assert perf_pairs.failures([1], pairs[:1]) == {
+        "change_only": [], "parent_only": [], "both": []
+    }
+
+
 def test_seed_ranges_and_lists():
     assert perf_pairs.parse_seeds("801-810") == list(range(801, 811))
     assert perf_pairs.parse_seeds("5,7-8") == [5, 7, 8]
