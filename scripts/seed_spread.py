@@ -47,11 +47,12 @@ def both_classes_in_every_fold(variant: train_eval.DatasetVariant, seed: int) ->
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="work directory to create")
-    parser.add_argument("--seeds", type=int, default=10, help="seeds to train")
+    count = cli._positive(int)
+    parser.add_argument("--seeds", type=count, default=10, help="seeds to train")
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--data-seed", type=int, default=1, help="seed of the archive")
-    parser.add_argument("--epochs", type=int, default=2)
-    parser.add_argument("--patience", type=int, default=2)
+    parser.add_argument("--epochs", type=count, default=2)
+    parser.add_argument("--patience", type=count, default=2)
     args = parser.parse_args()
 
     archive, out = args.out / "archive", args.out / "out"

@@ -18,15 +18,17 @@ explicitly and optimized with Adam on a mean per-unit binary cross-entropy:
   returns each of the size**2 cells of every pool window as one
   contiguous block, and conv outputs no window covers are never
   computed.
-- With caches kept, pooling records the first cell, in row-major window
-  order, that holds the maximum, so the gradient of a tie goes to the
-  first tied cell, as with ``np.argmax``; it keeps the ReLU mask at
-  pooled size. The backward pass applies the mask to the pooled
-  gradient, routes it to the winning cells, and accumulates one GEMM per
-  kernel offset into the padded input gradient. The first conv computes
-  no input gradient: no parameter below uses it. Its weight gradient is
-  ``cols @ dz`` over the routed blocks, and its bias gradient sums the
-  pooled, masked delta, which has one row per window.
+- With caches kept, ``forward`` keeps one entry per conv->pool block or
+  dense layer, in layer order. A block's pooling records the first cell,
+  in row-major window order, that holds the maximum, so the gradient of a
+  tie goes to the first tied cell, as with ``np.argmax``; it keeps the
+  ReLU mask at pooled size. The backward pass reshapes the gradient to
+  the pooled shape, applies the mask, routes it to the winning cells,
+  and accumulates one GEMM per kernel offset into the padded input
+  gradient. The first conv computes no input gradient: no parameter
+  below uses it. Its weight gradient is ``cols @ dz`` over the routed
+  blocks, and its bias gradient sums the pooled, masked delta, which has
+  one row per window.
 - The training pass (with caches) adds the conv bias before the max,
   since its winners are chosen among the biased cells. Scoring
   (``forward`` without caches) computes only the conv outputs a pool
@@ -341,7 +343,9 @@ def forward(
     ``images`` is (B, H, W) or (H, W); uint8 input is scaled to [0, 1].
     Returns ``(probs, caches)``: per-class sigmoid probabilities of shape
     (B, units), and the caches ``backward`` reads when ``with_caches`` is
-    set, else None. Each conv->pool block runs in its conv's turn; without
+    set, else None: one entry per conv->pool block, ``(size, flat, xp shape,
+    pad, (B, ho, wo, cout), winners, ReLU mask)``, or dense layer, ``(input,
+    output)``, in layer order. Each block runs in its conv's turn; without
     caches it computes only the conv outputs the pool reads and adds the
     bias after the max.
     """
@@ -408,35 +412,21 @@ def forward(
                     arg += before
                 alive = pooled > 0
                 arg *= alive
-                caches.append(
-                    ("block", layer, size, flat, xp.shape, pad, (bsz, ho, wo, cout), arg, alive)
-                )
+                caches.append((size, flat, xp.shape, pad, (bsz, ho, wo, cout), arg, alive))
             else:
                 # Rounding is monotone, so fl(max(z) + b) equals max(fl(z + b)).
                 pooled += bias
             a = _relu(pooled)
         elif isinstance(layer, Dense):
-            if a.ndim == 4:
-                spatial = a.shape
-                a = a.reshape(a.shape[0], -1)
-                if with_caches:
-                    caches.append(("flatten", None, spatial, None))
+            a = a.reshape(len(a), -1)
             weight, bias = model.params[p], model.params[p + 1]
             p += 2
             z = a @ weight + bias
-            if layer.activation == "relu":
-                out = _relu(z)
-                if with_caches:
-                    caches.append(("dense", layer, a, out > 0))
-            else:
-                out = _sigmoid(z)
-                if with_caches:
-                    caches.append(("dense", layer, a, out))
+            out = _relu(z) if layer.activation == "relu" else _sigmoid(z)
+            if with_caches:
+                caches.append((a, out))
             a = out
-    if with_caches:
-        caches.append(("probs", None, a, None))
-        return a, caches
-    return a, None
+    return a, (caches if with_caches else None)
 
 
 @dataclass
@@ -484,71 +474,63 @@ def _loss_grad_z(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def backward(model: CnnModel, caches: list, labels: np.ndarray) -> list[np.ndarray]:
-    """Gradients of the loss for every parameter, in declaration order."""
-    if not caches or caches[-1][0] != "probs":
-        raise ShapeError("caches do not come from forward(with_caches=True)")
-    probs = caches[-1][2]
+    """Gradients of the loss for every parameter, in declaration order,
+    from the caches of ``forward(with_caches=True)``: one entry per
+    conv->pool block or dense layer, in layer order."""
+    stack = [layer for layer in model.layers if not isinstance(layer, Pool)]
+    if not caches or len(caches) != len(stack):
+        raise ShapeError(
+            f"expected {len(stack)} caches from forward(with_caches=True), got {len(caches)}"
+        )
     grads: list[np.ndarray | None] = [None] * len(model.params)
-    delta = _loss_grad_z(probs, labels).astype(model.dtype)
+    delta = _loss_grad_z(caches[-1][1], labels).astype(model.dtype)
 
     p = len(model.params)
-    for entry in reversed(caches[:-1]):
-        kind, layer, *rest = entry
-        if kind == "dense":
-            a_in, act_cache = rest
-            p -= 2
-            weight = model.params[p]
+    for layer, entry in zip(reversed(stack), reversed(caches)):
+        p -= 2
+        weight = model.params[p]
+        if isinstance(layer, Dense):
+            a_in, out = entry
             if layer.activation == "relu":
                 # delta currently holds dL/da for this layer's output
-                np.multiply(delta, act_cache, out=delta)
+                np.multiply(delta, out > 0, out=delta)
             grads[p] = (a_in.T @ delta).astype(model.dtype, copy=False)
             grads[p + 1] = delta.sum(axis=0).astype(model.dtype, copy=False)
             delta = delta @ weight.T
-        elif kind == "flatten":
-            spatial, _ = rest
-            delta = delta.reshape(spatial)
-        elif kind == "block":
-            size, flat, xp_shape, pad, (bsz, ho, wo, cout), arg, alive = rest
-            p -= 2
-            weight = model.params[p]
-            # The ReLU mask, taken at the winners. delta is an array backward
-            # made (a dxp slice or the dense gradient reshaped).
-            np.multiply(delta, alive, out=delta)
-            # Route on the integer view of delta: a product with 0 or 1 is
-            # exact there, and a cell that did not win gets +0, never -0.
-            bits = delta.view(f"i{delta.itemsize}")
-            if p == 0:  # the cell-major first conv: one block per pool cell
-                dz = np.empty((size * size, *arg.shape), dtype=bits.dtype)
-            else:
-                dz = np.empty((bsz, ho, wo, cout), dtype=bits.dtype)
-                hc, wc = arg.shape[1] * size, arg.shape[2] * size
-                dz[:, hc:] = 0  # rows and columns no window covers
-                dz[:, :hc, wc:] = 0
-            for k, cell in enumerate(_pool_cells(dz, size)):
-                np.multiply(bits, arg == k, out=cell)
-            dz = dz.view(delta.dtype)
-            if p == 0:
-                # The bias gradient sums the pooled delta: one row per window.
-                grads[p] = (flat @ dz.reshape(-1, cout)).reshape(weight.shape)
-                grads[p + 1] = _column_sums(delta.reshape(-1, cout))
-                break  # the input gradient of the first layer feeds nothing
-            dflat = dz.reshape(-1, cout)
-            grads[p] = (flat.T @ dflat).reshape(weight.shape)
-            grads[p + 1] = _column_sums(dflat)
-            dxp = np.zeros(xp_shape, dtype=delta.dtype)
-            dx_ij = np.empty((bsz, ho, wo, weight.shape[2]), dtype=delta.dtype)
-            for i, j in np.ndindex(weight.shape[:2]):
-                np.matmul(dflat, weight[i, j].T, out=dx_ij.reshape(len(dflat), -1))
-                dxp[:, i : i + ho, j : j + wo, :] += dx_ij
-            top, bottom = pad
-            if top or bottom:
-                delta = dxp[:, top : xp_shape[1] - bottom, top : xp_shape[2] - bottom, :]
-            else:
-                delta = dxp
+            continue
+        size, flat, xp_shape, pad, (bsz, ho, wo, cout), arg, alive = entry
+        # The ReLU mask, taken at the winners. delta is an array backward
+        # made (a dxp slice or the dense gradient), seen at pooled shape.
+        delta = delta.reshape(arg.shape)
+        np.multiply(delta, alive, out=delta)
+        # Route on the integer view of delta: a product with 0 or 1 is
+        # exact there, and a cell that did not win gets +0, never -0.
+        bits = delta.view(f"i{delta.itemsize}")
+        if p == 0:  # the cell-major first conv: one block per pool cell
+            dz = np.empty((size * size, *arg.shape), dtype=bits.dtype)
         else:
-            raise ShapeError(f"unknown cache entry {kind!r}")
-    if p != 0:
-        raise ShapeError("cache/parameter mismatch in backward pass")
+            dz = np.empty((bsz, ho, wo, cout), dtype=bits.dtype)
+            hc, wc = arg.shape[1] * size, arg.shape[2] * size
+            dz[:, hc:] = 0  # rows and columns no window covers
+            dz[:, :hc, wc:] = 0
+        for k, cell in enumerate(_pool_cells(dz, size)):
+            np.multiply(bits, arg == k, out=cell)
+        dz = dz.view(delta.dtype)
+        if p == 0:
+            # The bias gradient sums the pooled delta: one row per window.
+            grads[p] = (flat @ dz.reshape(-1, cout)).reshape(weight.shape)
+            grads[p + 1] = _column_sums(delta.reshape(-1, cout))
+            break  # the input gradient of the first layer feeds nothing
+        dflat = dz.reshape(-1, cout)
+        grads[p] = (flat.T @ dflat).reshape(weight.shape)
+        grads[p + 1] = _column_sums(dflat)
+        dxp = np.zeros(xp_shape, dtype=delta.dtype)
+        dx_ij = np.empty((bsz, ho, wo, weight.shape[2]), dtype=delta.dtype)
+        for i, j in np.ndindex(weight.shape[:2]):
+            np.matmul(dflat, weight[i, j].T, out=dx_ij.reshape(len(dflat), -1))
+            dxp[:, i : i + ho, j : j + wo, :] += dx_ij
+        top, bottom = pad
+        delta = dxp[:, top : xp_shape[1] - bottom, top : xp_shape[2] - bottom, :]
     return grads  # type: ignore[return-value]
 
 

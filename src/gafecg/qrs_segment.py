@@ -102,7 +102,14 @@ def _merge_close(indices: np.ndarray, values: np.ndarray) -> list[tuple[int, flo
 
 
 class _Detector:
-    """Adaptive dual-threshold peak picker over the integrated signal."""
+    """Adaptive dual-threshold peak picker over the integrated signal.
+
+    ``run`` takes the candidates of ``_merge_close``: increasing and at
+    least REFRACTORY apart. Every accepted peak is one of them, accepted in
+    increasing order, and search-back only looks past the last accepted
+    peak. So the accepted list stays sorted and its peaks REFRACTORY apart
+    with no test of their own.
+    """
 
     def __init__(self, mwi: np.ndarray):
         seed = mwi[: min(INIT_WINDOW, len(mwi))]
@@ -115,10 +122,6 @@ class _Detector:
     def threshold(self) -> float:
         return self.npki + 0.25 * (self.spki - self.npki)
 
-    @property
-    def rr_average(self) -> float | None:
-        return float(np.mean(self.rr)) if self.rr else None
-
     def _accept(self, idx: int, value: float, from_searchback: bool) -> None:
         if from_searchback:
             self.spki = 0.25 * value + 0.75 * self.spki
@@ -130,43 +133,26 @@ class _Detector:
 
     def _search_back(self, candidates: list[tuple[int, float]], gap_end: int) -> None:
         # Re-examine rejected candidates in a long RR gap at half threshold.
-        while self.accepted:
-            rr_avg = self.rr_average
-            if rr_avg is None or gap_end - self.accepted[-1] <= SEARCHBACK_FACTOR * rr_avg:
-                return
+        # An RR history implies an accepted peak.
+        while self.rr and gap_end - self.accepted[-1] > SEARCHBACK_FACTOR * np.mean(self.rr):
             lo = self.accepted[-1] + REFRACTORY
             hi = gap_end - REFRACTORY
             half = 0.5 * self.threshold
-            window = [
-                (i, v)
-                for (i, v) in candidates
-                if lo <= i <= hi and v > half and i not in self._accepted_set
-            ]
+            window = [(i, v) for (i, v) in candidates if lo <= i <= hi and v > half]
             if not window:
                 return
             best = max(window, key=lambda item: item[1])
             self._accept(best[0], best[1], from_searchback=True)
-            self._accepted_set.add(best[0])
-            # Keep the accepted list sorted; search-back fills gaps in order.
-            self.accepted.sort()
 
     def run(self, candidates: list[tuple[int, float]], signal_length: int) -> list[int]:
-        self._accepted_set: set[int] = set()
         for idx, value in candidates:
-            if self.accepted and idx - self.accepted[-1] < REFRACTORY:
-                self.npki = 0.125 * value + 0.875 * self.npki
-                continue
             self._search_back(candidates, idx)
-            if self.accepted and idx - self.accepted[-1] < REFRACTORY:
-                self.npki = 0.125 * value + 0.875 * self.npki
-                continue
             if value > self.threshold:
                 self._accept(idx, value, from_searchback=False)
-                self._accepted_set.add(idx)
             else:
                 self.npki = 0.125 * value + 0.875 * self.npki
         self._search_back(candidates, signal_length)
-        return sorted(self.accepted)
+        return self.accepted
 
 
 def pan_tompkins(record) -> RPeakList:

@@ -8,7 +8,9 @@ taken from the header comments: "myocardial infarction" or
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,6 +88,8 @@ def _parse_gain_field(token: str) -> tuple[float, int | None]:
         gain = float(m.group(1))
     except ValueError as exc:
         raise ParseError(f"cannot parse gain field {token!r}") from exc
+    if not math.isfinite(gain):
+        raise ParseError(f"gain field {token!r} is not finite")
     baseline = int(m.group(2)) if m.group(2) is not None else None
     if gain == 0.0:
         gain = DEFAULT_ADC_GAIN
@@ -175,8 +179,8 @@ def parse_header(text: str) -> RecordHeader:
         raise ParseError(f"cannot parse sample count {first[3]!r}") from exc
     if num_signals < 1:
         raise ParseError(f"signal count must be >= 1, got {num_signals}")
-    if sampling_rate <= 0:
-        raise ParseError(f"sampling rate must be positive, got {sampling_rate}")
+    if not 0 < sampling_rate < math.inf:
+        raise ParseError(f"sampling rate must be positive and finite, got {sampling_rate}")
     if samples_per_signal < 1:
         raise ParseError(f"sample count must be >= 1, got {samples_per_signal}")
     signal_lines = body[1:]
@@ -309,13 +313,7 @@ def load_record(root: str | Path, record_id: str, lead_name: str = "ii") -> EcgR
     if not signal_path.is_file():
         raise IoError(f"missing signal file {signal_path}")
     record = read_signal(header, signal_path.read_bytes(), lead_name, label=label)
-    return EcgRecord(
-        subject_id=record_id,
-        label=label,
-        lead_name=lead_name,
-        samples=record.samples,
-        sampling_rate=record.sampling_rate,
-    )
+    return dataclasses.replace(record, subject_id=record_id)
 
 
 def scan_dataset(

@@ -371,15 +371,15 @@ class TestShapeConformance:
         probs, caches = cnn.forward(model, image, with_caches=True)
         seen = []
         flatten_width = None
-        for entry in caches[:-1]:
-            kind = entry[0]
-            if kind == "block":
-                seen.append(entry[6][1:])  # the conv's (B, ho, wo, cout)
-                seen.append(entry[7].shape[1:])  # the pool's winners
-            elif kind == "flatten":
-                flatten_width = int(np.prod(entry[2][1:]))
-            elif kind == "dense":
-                seen.append(entry[3].shape[1:])
+        stack = [layer for layer in model.layers if not isinstance(layer, cnn.Pool)]
+        for layer, entry in zip(stack, caches, strict=True):
+            if isinstance(layer, cnn.Conv):
+                seen.append(entry[4][1:])  # the conv's (B, ho, wo, cout)
+                seen.append(entry[5].shape[1:])  # the pool's winners
+            else:
+                if flatten_width is None:
+                    flatten_width = entry[0].shape[1]  # the first dense input
+                seen.append(entry[1].shape[1:])
         assert seen == self.EXPECTED
         assert flatten_width == 6272
         assert probs.shape == (1, 2)

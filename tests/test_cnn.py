@@ -193,9 +193,7 @@ class TestPoolingTies:
         )
         model.params[0][...] = 1.0
         _, caches = forward(model, np.asarray(window, dtype=np.float64), True)
-        kind, arg = caches[0][0], caches[0][7]
-        assert kind == "block"
-        return int(arg[0, 0, 0, 0])
+        return int(caches[0][5][0, 0, 0, 0])
 
     def test_all_equal_routes_to_first(self):
         assert self._pool_cache([[1.0, 1.0], [1.0, 1.0]]) == 0
@@ -390,11 +388,12 @@ class TestKernelOracle:
         probs, caches = forward(model, images, with_caches=True)
         ref_probs, ref_caches = _reference_forward(ref, images)
         assert _same_bytes(probs, ref_probs)
-        blocks = [c for c in caches if c[0] == "block"]
+        stack = [layer for layer in model.layers if not isinstance(layer, Pool)]
+        blocks = [c for layer, c in zip(stack, caches, strict=True) if isinstance(layer, Conv)]
         ref_pools = [c for c in ref_caches if isinstance(c[0], Pool)]
         assert len(blocks) == len(ref_pools)
         for block, (_, ref_arg, _) in zip(blocks, ref_pools):
-            np.testing.assert_array_equal(block[7], ref_arg[:, :, :, 0])
+            np.testing.assert_array_equal(block[5], ref_arg[:, :, :, 0])
         grads = backward(model, caches, labels)
         ref_grads = _reference_backward(ref, ref_caches, ref_probs, labels)
         assert all(_same_bytes(g, r) for g, r in zip(grads, ref_grads))
@@ -597,6 +596,11 @@ class TestGradients:
         model = _small_model()
         with pytest.raises(ShapeError, match="caches"):
             backward(model, [], np.array([0]))
+        # Caches of another stack: three entries for a model of six.
+        odd = model_init(seed=3, layers=ODD_LAYERS, input_shape=(17, 17), dtype=np.float64)
+        _, caches = forward(odd, rng.random((2, 17, 17)), with_caches=True)
+        with pytest.raises(ShapeError, match="caches"):
+            backward(model, caches, np.array([0, 1]))
 
 
 class TestAdam:

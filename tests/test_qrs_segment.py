@@ -1,6 +1,8 @@
 """R-peak detection and beat segmentation tests."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gafecg.errors import InvalidInput, UnsupportedRate
 from gafecg.qrs_segment import (
@@ -9,6 +11,7 @@ from gafecg.qrs_segment import (
     PRE_SAMPLES,
     REFRACTORY,
     RPeakList,
+    _merge_close,
     pan_tompkins,
     segment_beats,
 )
@@ -54,6 +57,27 @@ class TestDetection:
         ecg = synth_ecg(30.0, bpm=70, rr_jitter=0.08, seed=6)
         peaks = pan_tompkins(_record(ecg.samples))
         _assert_matches_truth(peaks.indices, ecg.r_indices)
+
+    def test_search_back_recovers_a_small_beat(self):
+        # Beat 15 at 0.4 of its amplitude falls under the threshold; only
+        # search-back over the long RR gap finds it again.
+        ecg = synth_ecg(30.0, bpm=70, seed=1)
+        samples = ecg.samples.copy()
+        r = ecg.r_indices[15]
+        samples[r - 300 : r + 301] *= 0.4
+        peaks = pan_tompkins(_record(samples))
+        _assert_matches_truth(peaks.indices, ecg.r_indices)
+
+    @given(
+        gaps=st.lists(st.integers(1, 600) | st.sampled_from([REFRACTORY - 1]), max_size=60),
+        values=st.lists(st.floats(), min_size=60, max_size=60),
+    )
+    def test_merged_candidates_increase_refractory_apart(self, gaps, values):
+        # The precondition of the detector: it never tests refractory itself.
+        indices = np.cumsum(gaps, dtype=np.int64)
+        merged = [i for i, _ in _merge_close(indices, values[: len(indices)])]
+        assert set(merged) <= set(indices.tolist())
+        assert all(b - a >= REFRACTORY for a, b in zip(merged, merged[1:]))
 
     def test_positive_rescaling_is_exact(self):
         ecg = synth_ecg(20.0, bpm=65, seed=7)

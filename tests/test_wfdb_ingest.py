@@ -96,6 +96,11 @@ class TestParseHeader:
             ("r 1 1000 10\nr.dat 16\n", "too few fields"),
             ("r 1 1000 10\nr.dat sixteen 2000 16 0 0 0 0 ii\n", "storage format"),
             ("r 1 1000 10\nr.dat 16 gain?? 16 0 0 0 0 ii\n", "gain"),
+            ("r 1 nan 10\nr.dat 16 2000 16 0 0 0 0 ii\n", "sampling rate"),
+            ("r 1 inf 10\nr.dat 16 2000 16 0 0 0 0 ii\n", "sampling rate"),
+            ("r 1 1e999/1000 10\nr.dat 16 2000 16 0 0 0 0 ii\n", "sampling rate"),
+            ("r 1 1000 10\nr.dat 16 1e999(0) 16 0 0 0 0 ii\n", "gain"),
+            ("r 1 1000 10\nr.dat 16 -1e999/mV 16 0 0 0 0 ii\n", "gain"),
         ],
     )
     def test_malformed_headers_rejected(self, text, match):
@@ -347,6 +352,18 @@ class TestScanDataset:
         assert reasons["patient004/s0004"].startswith("ParseError")
         assert reasons["patient005/s0005"].startswith("UnlabeledRecord")
         assert reasons["patient006/s0006"].startswith("LeadNotFound")
+
+    def test_non_finite_gain_or_rate_skipped(self, tree):
+        mv = 0.5 * np.sin(np.arange(1000) / 50.0)
+        comments = ["Reason for admission: Healthy control"]
+        for name, old, new in (("s0007", " 2000(0) ", " 1e999(0) "), ("s0008", " 1000 ", " nan ")):
+            header = write_record(tree / "patient007", name, mv, comments=comments)
+            header.write_text(header.read_text().replace(old, new, 1))
+        reasons = dict(scan_dataset(tree).skipped)
+        assert reasons["patient007/s0007"] == "ParseError: gain field '1e999(0)' is not finite"
+        assert reasons["patient007/s0008"] == (
+            "ParseError: sampling rate must be positive and finite, got nan"
+        )
 
     def test_inferior_only_excludes_other_sites(self, tree):
         result = scan_dataset(tree, inferior_only=True)
